@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Runs the JSON-emitting bench suite with fixed seeds and assembles the
 # per-bench raincore.bench.v1 documents into one suite file — the perf
-# trail that successive PRs diff against (BENCH_PR<n>.json at the repo
-# root; see ISSUE/CHANGES for the trajectory).
+# trail that successive changes diff against (the committed BENCH_*.json
+# documents at the repo root; see CHANGES.md for the trajectory).
 #
 # Usage: bench/run_suite.sh [build-dir] [output-file]
 #   build-dir    defaults to <repo>/build (must already be built)
-#   output-file  defaults to <repo>/BENCH_PR3.json
+#   output-file  defaults to a fresh <build-dir>/bench_suite-<UTC time>.json;
+#                committed documents are only written when named explicitly
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
-OUT="${2:-$ROOT/BENCH_PR3.json}"
+OUT="${2:-$BUILD/bench_suite-$(date -u +%Y%m%dT%H%M%SZ).json}"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 

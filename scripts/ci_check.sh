@@ -6,6 +6,9 @@
 # tests. A use-after-free in an aliased datagram view, a frame mutated
 # while shared, or a regression back to per-retry copies all fail here.
 #
+# Both sanitizer trees build with -Werror: a new compiler warning fails the
+# gate before any test runs.
+#
 # Usage: scripts/ci_check.sh [asan-build-dir] [tsan-build-dir]
 #   asan-build-dir  defaults to <repo>/build-asan (configured on demand)
 #   tsan-build-dir  defaults to <repo>/build-tsan (configured on demand)
@@ -48,7 +51,7 @@ SOAK_FALSE_RM_BUDGET="${SOAK_FALSE_RM_BUDGET:-12}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== configure + build (ASAN) in $BUILD"
-cmake -B "$BUILD" -S "$ROOT" -DRAINCORE_ASAN=ON
+cmake -B "$BUILD" -S "$ROOT" -DRAINCORE_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
     shard_test bench_shard bench_json_check storage_test durability_test \
     bench_durability batching_test fuzz_robustness_test property_test \
@@ -88,7 +91,7 @@ echo "== batching label under ASAN (batch-codec fuzzers over aliased" \
 ctest --test-dir "$BUILD" -L batching --output-on-failure
 
 echo "== configure + build (TSAN) in $TSAN_BUILD"
-cmake -B "$TSAN_BUILD" -S "$ROOT" -DRAINCORE_TSAN=ON
+cmake -B "$TSAN_BUILD" -S "$ROOT" -DRAINCORE_TSAN=ON -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$TSAN_BUILD" -j"$JOBS" --target real_time_loop_test \
     runtime_test udp_cluster raincored cluster_harness
 

@@ -868,12 +868,32 @@ void ReshardManager::after_recovery() {
   // router on a stale table forever (the window below reopens instead and
   // the coordinator / a state dump finishes the job).
   last_completed_epoch_ = 0;
+  for (const PartitionFilter& pf : filters_) {
+    last_completed_epoch_ = std::max(last_completed_epoch_, pf.completed_epoch);
+  }
+  // A partition can recover a window its siblings already retired: its
+  // store was down (shard restart) while the ring-0 dump that completed the
+  // epoch landed, so neither the retirement nor its scrub reached disk. A
+  // sibling's journal proves the epoch complete group-wide (the coordinator
+  // completes an epoch only once every range is done), so retire the stale
+  // window here exactly as kEpochComplete would. Left open, it would keep
+  // retaining — and re-proposing — keys that migrated away.
+  for (std::size_t s = 0; s < filters_.size(); ++s) {
+    PartitionFilter& pf = filters_[s];
+    if (!pf.rec || pf.rec->epoch > last_completed_epoch_) continue;
+    const std::uint64_t epoch = pf.rec->epoch;
+    const std::uint32_t new_k = pf.rec->new_k;
+    pf.cur = pf.rec->next;
+    pf.rec.reset();
+    pf.completed_epoch = std::max(pf.completed_epoch, epoch);
+    journal(s, Rec::kComplete, epoch, new_k, 0, 0);
+    scrub_partition(s);
+  }
   std::uint64_t ep = 0;
   std::uint32_t nk = 0;
   std::uint32_t oldk = 0;
   std::uint32_t curk = 0;
   for (const PartitionFilter& pf : filters_) {
-    last_completed_epoch_ = std::max(last_completed_epoch_, pf.completed_epoch);
     curk = std::max(curk,
                     static_cast<std::uint32_t>(pf.cur->shard_count()));
     if (pf.rec && pf.rec->epoch > ep) {

@@ -180,6 +180,9 @@ void ShardedDataPlane::grow_to(std::size_t new_shards) {
       stores_.push_back(std::make_unique<storage::ShardStore>(
           storage_cfg_, storage_cfg_.dir + "/shard" + std::to_string(s),
           prefix));
+      // Token-visit group commit: one WAL sync per visit of this shard's
+      // ring covers every record the visit applied.
+      ring.set_visit_end_handler([st = stores_.back().get()] { st->flush(); });
     }
   }
 }

@@ -12,8 +12,13 @@
 #include <stdexcept>
 
 #include "common/buffer.h"
+#include "common/log.h"
 
 namespace raincore::net {
+
+namespace {
+constexpr const char* kMod = "udp";
+}  // namespace
 
 UdpEndpoint::UdpEndpoint(RealTimeLoop& loop, AddressBook& book,
                          UdpEndpointConfig cfg)
@@ -83,7 +88,19 @@ void UdpEndpoint::send(const Address& to, Slice payload,
   msg.msg_namelen = sizeof(addr);
   msg.msg_iov = iov;
   msg.msg_iovlen = payload.empty() ? 1 : 2;
-  ::sendmsg(fds_[from_iface], &msg, 0);
+  if (::sendmsg(fds_[from_iface], &msg, 0) < 0) {
+    note_send_failure(errno, to, sizeof(hdr) + payload.size());
+  }
+}
+
+void UdpEndpoint::note_send_failure(int err, const Address& to,
+                                    std::size_t bytes) {
+  send_failed_.inc();
+  if (!warned_errnos_.insert(err).second) return;
+  RC_WARN(kMod,
+          "node %u: sendmsg of %zu bytes to node %u failed: %s (counted in "
+          "net.udp.send_failed; not logged again for this error)",
+          cfg_.node, bytes, to.node, std::strerror(err));
 }
 
 void UdpEndpoint::drain(std::uint8_t iface) {

@@ -19,9 +19,11 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "net/address_book.h"
 #include "net/network.h"
@@ -66,8 +68,13 @@ class UdpEndpoint final : public NodeEnv {
   /// Actual bound port (host order) — the ephemeral-discovery accessor.
   std::uint16_t port(std::uint8_t iface) const { return ports_.at(iface); }
 
+  /// "net.udp.send_failed": datagrams the kernel refused (oversized frame,
+  /// full socket buffer, no route). Each one is a lost datagram.
+  const metrics::Registry& metrics() const { return metrics_; }
+
  private:
   void drain(std::uint8_t iface);
+  void note_send_failure(int err, const Address& to, std::size_t bytes);
 
   RealTimeLoop& loop_;
   AddressBook& book_;
@@ -76,6 +83,9 @@ class UdpEndpoint final : public NodeEnv {
   ReceiveFn receiver_;
   std::vector<int> fds_;
   std::vector<std::uint16_t> ports_;
+  metrics::Registry metrics_;
+  Counter& send_failed_ = metrics_.counter("net.udp.send_failed");
+  std::set<int> warned_errnos_;  ///< each errno is logged once, counted always
 };
 
 }  // namespace raincore::net

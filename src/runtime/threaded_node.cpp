@@ -31,11 +31,11 @@ ThreadedNode::Worker::Worker(ThreadedNode& owner, std::size_t k)
   loop.set_service_handler([p = &proxy] { p->worker_drain(); });
   if (!owner.cfg_.storage.dir.empty()) {
     // Per-shard durable delivery journal. The store is worker-owned: the
-    // deliver handler below runs on this worker's thread, the same thread
-    // that later executes drain()'s flush, so the ShardStore never sees two
-    // threads. Recovery hooks are trivial — a restarted raincored re-syncs
-    // from the live group; the journal is the durable trace of what this
-    // member delivered, not a bootstrap source.
+    // deliver and visit-end handlers below run on this worker's thread, the
+    // same thread that later executes drain()'s flush, so the ShardStore
+    // never sees two threads. Recovery hooks are trivial — a restarted
+    // raincored re-syncs from the live group; the journal is the durable
+    // trace of what this member delivered, not a bootstrap source.
     store = std::make_unique<storage::ShardStore>(
         owner.cfg_.storage,
         owner.cfg_.storage.dir + "/shard" + std::to_string(k),
@@ -56,6 +56,7 @@ ThreadedNode::Worker::Worker(ThreadedNode& owner, std::size_t k)
         w.bytes(payload);
         s->append(1, w.take());
       });
+      ring->set_visit_end_handler([s = store.get()] { s->flush(); });
     } else {
       store.reset();
     }
@@ -226,6 +227,7 @@ bool ThreadedNode::all_converged(std::size_t n) {
 
 metrics::Snapshot ThreadedNode::metrics_snapshot() const {
   metrics::Snapshot s = transport_.metrics().snapshot();
+  s.merge(endpoint_.metrics().snapshot());
   for (const auto& w : workers_) {
     s.merge(w->ring->metrics().snapshot());
     if (w->store) s.merge(w->store->metrics().snapshot());

@@ -54,8 +54,9 @@ struct ThreadedNodeConfig {
   Time status_refresh = millis(10);
   /// Per-shard durable delivery journal: when `storage.dir` is non-empty
   /// each worker opens a ShardStore at <dir>/shard<k> and appends every
-  /// agreed delivery of its ring to the WAL. drain() flushes these before
-  /// the process exits; an empty dir disables the journal entirely.
+  /// agreed delivery of its ring to the WAL, committed once at the end of
+  /// each token visit. drain() flushes these before the process exits; an
+  /// empty dir disables the journal entirely.
   storage::StorageConfig storage;
 };
 
@@ -118,9 +119,10 @@ class ThreadedNode {
   }
   /// Runtime-layer instruments (proxy overflow/retry counters).
   metrics::Registry& runtime_metrics() { return runtime_reg_; }
-  /// Merged snapshot: transport + every ring + runtime instruments. Safe
-  /// while running (instruments are thread-safe; registries mutex their
-  /// maps) — values are per-instrument coherent, not a global cut.
+  /// Merged snapshot: transport + UDP endpoint + every ring + runtime
+  /// instruments. Safe while running (instruments are thread-safe;
+  /// registries mutex their maps) — values are per-instrument coherent,
+  /// not a global cut.
   metrics::Snapshot metrics_snapshot() const;
 
  private:

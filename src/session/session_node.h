@@ -123,6 +123,11 @@ class SessionNode {
   /// attribute removals — e.g. the chaos false-removal oracle checks
   /// whether the removed node's process was actually alive.
   using RemovalFn = std::function<void(NodeId)>;
+  /// Invoked once at the end of every token visit (eating cycle), on every
+  /// exit path, after the hold timer is armed — so the work it does (the
+  /// per-visit WAL group commit) runs during the token hold instead of
+  /// delaying delivery or the pass.
+  using VisitEndFn = std::function<void()>;
 
   /// Classic single-session node: owns a full transport stack on `env`
   /// (demux group 0).
@@ -213,6 +218,7 @@ class SessionNode {
     on_quorum_shutdown_ = std::move(fn);
   }
   void set_removal_handler(RemovalFn fn) { on_removal_ = std::move(fn); }
+  void set_visit_end_handler(VisitEndFn fn) { on_visit_end_ = std::move(fn); }
   void set_eligible(std::vector<NodeId> eligible);
 
   /// Shared-detector fan-out: another ring on this node observed a
@@ -443,6 +449,7 @@ class SessionNode {
   ViewFn on_view_;
   QuorumShutdownFn on_quorum_shutdown_;
   RemovalFn on_removal_;
+  VisitEndFn on_visit_end_;
 
   metrics::Registry metrics_{cfg_.metrics_prefix};
   Stats stats_{metrics_};

@@ -139,11 +139,13 @@ void SessionNode::eating_cycle() {
 
   if (leaving_) {
     complete_leave();
-    return;
+  } else {
+    last_copy_ = token_;
+    arm_hold_timer();
   }
-
-  last_copy_ = token_;
-  arm_hold_timer();
+  // 7. Visit end: the hold timer is already running, so the handler's work
+  //    (the WAL commit of everything this visit applied) overlaps the hold.
+  if (on_visit_end_) on_visit_end_();
 }
 
 void SessionNode::process_attached(Token& t) {

@@ -27,7 +27,7 @@ ShardStore::ShardStore(const StorageConfig& cfg, std::string dir,
                        std::string metrics_prefix)
     : cfg_(cfg),
       dir_(std::move(dir)),
-      wal_(dir_ + "/wal.log", cfg.fsync_every),
+      wal_(dir_ + "/wal.log"),
       metrics_(std::move(metrics_prefix)) {}
 
 void ShardStore::attach(std::uint16_t stream, Hooks hooks) {

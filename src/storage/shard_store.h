@@ -18,9 +18,11 @@
 // LSNs are logical record ordinals, monotone across compactions: lsn() is
 // the last record handed to the store, durable_lsn() the last one that
 // would survive a power cut (fsynced, or folded into a fsynced snapshot).
-// The chaos harness acknowledges a client write only once its record's
-// LSN is durable, and crash() models the power cut by discarding the
-// unsynced tail.
+// append() never syncs; flush() is the commit point. The data plane calls
+// it once at the end of every token visit of the shard's ring, so no
+// record stays unsynced past the visit that applied it. The chaos harness
+// acknowledges a client write only once its record's LSN is durable, and
+// crash() models the power cut by discarding the unsynced tail.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,6 @@ namespace raincore::storage {
 struct StorageConfig {
   /// Root directory for the node's stores; empty disables durability.
   std::string dir;
-  /// WAL records per fsync batch (1 = sync every append).
-  std::size_t fsync_every = 8;
   /// Appended records between automatic compactions (0 = never).
   std::size_t snapshot_every = 4096;
 };
@@ -75,8 +75,11 @@ class ShardStore {
   /// record in append order. Records storage.wal.replayed/recovery_ns.
   void recover();
 
-  /// Journals one record for `stream`; may trigger automatic compaction.
+  /// Journals one record for `stream` (durable at the next flush); may
+  /// trigger automatic compaction.
   void append(std::uint16_t stream, const Bytes& record);
+  /// Commit point: one pwrite + fdatasync of everything appended since the
+  /// last one (no-op when nothing is pending).
   void flush();
 
   /// Snapshots every attached stream (tmp + rename + fsync), resets the

@@ -55,9 +55,7 @@ std::uint32_t Wal::fnv1a(const std::uint8_t* p, std::size_t n) {
   return fnv1a_acc(kFnvBasis, p, n);
 }
 
-Wal::Wal(std::string path, std::size_t fsync_every)
-    : path_(std::move(path)),
-      fsync_every_(fsync_every == 0 ? 1 : fsync_every) {}
+Wal::Wal(std::string path) : path_(std::move(path)) {}
 
 Wal::~Wal() { close(); }
 
@@ -123,7 +121,7 @@ std::uint64_t Wal::append2(const std::uint8_t* a, std::size_t na,
                            const std::uint8_t* b, std::size_t nb) {
   if (fd_ < 0) return 0;
   // Group commit: encode into the process-local batch; the file is touched
-  // once per batch (sync_now), not twice per record.
+  // once per flush (sync_now), not twice per record.
   const std::size_t n = na + nb;
   std::uint8_t header[kHeader];
   write_u32le(header, static_cast<std::uint32_t>(n));
@@ -133,7 +131,6 @@ std::uint64_t Wal::append2(const std::uint8_t* a, std::size_t na,
   if (nb > 0) pending_.insert(pending_.end(), b, b + nb);
   bytes_end_ += kHeader + n;
   ++records_;
-  if (records_ - durable_records_ >= fsync_every_) sync_now();
   return records_;
 }
 

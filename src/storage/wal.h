@@ -6,10 +6,11 @@
 //   u32 len | u32 fnv1a(payload) | payload[len]        (little-endian)
 //
 // Appends are group-committed: records accumulate in a process-local
-// buffer and reach the file in ONE pwrite + fsync per batch of
-// `fsync_every` records (flush() forces the batch out early, and a clean
-// close() flushes too). One syscall per batch instead of two per record
-// is what keeps the WAL tax inside the bench_durability throughput budget.
+// buffer and reach the file in ONE pwrite + fdatasync per flush(). The
+// log never syncs on its own — the owner picks the commit point (the data
+// plane flushes once per token visit, DESIGN.md §5g); close() and reset()
+// are flush points too. One syscall pair per batch instead of two per
+// record is what keeps the WAL tax inside the bench_durability budget.
 // The durable/appended split is explicit: records_appended() counts what
 // this process wrote, records_durable() counts what would survive a power
 // cut. Opening an existing log scans it front to back and truncates at
@@ -40,7 +41,7 @@ class Wal {
   /// torn length prefix is indistinguishable from a huge record).
   static constexpr std::uint32_t kMaxRecord = 1u << 24;
 
-  explicit Wal(std::string path, std::size_t fsync_every = 8);
+  explicit Wal(std::string path);
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
   ~Wal();
@@ -51,8 +52,8 @@ class Wal {
   void close();
   bool is_open() const { return fd_ >= 0; }
 
-  /// Appends one record; fsyncs when the batch fills. Returns the record's
-  /// 1-based sequence number within this log.
+  /// Appends one record to the pending batch (durable at the next flush).
+  /// Returns the record's 1-based sequence number within this log.
   std::uint64_t append(const std::uint8_t* payload, std::size_t n) {
     return append2(payload, n, nullptr, 0);
   }
@@ -96,7 +97,6 @@ class Wal {
   void sync_now();
 
   std::string path_;
-  std::size_t fsync_every_;
   int fd_ = -1;
   /// Group-commit buffer: encoded records in [durable_bytes_, bytes_end_)
   /// that have not hit the file yet. Invariant: the file always ends

@@ -102,10 +102,10 @@ bool DurabilityChaosCluster::bootstrap(Time timeout) {
 // --- client traffic + ack tracking -----------------------------------------
 
 void DurabilityChaosCluster::start_traffic(NodeId id) {
-  Stack& st = *stacks_.at(id);
+  Stack& stack = *stacks_.at(id);
   Time gap =
-      millis(3) + static_cast<Time>(st.traffic_rng.next_below(millis(5)));
-  st.traffic_timer = net_.loop().schedule(gap, [this, id] {
+      millis(3) + static_cast<Time>(stack.traffic_rng.next_below(millis(5)));
+  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
     Stack& st = *stacks_.at(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
@@ -159,8 +159,8 @@ void DurabilityChaosCluster::issue_op(NodeId id) {
   if (st.traffic_rng.chance(0.1)) {
     st.locks->acquire("lk:" + key, [this, id](const std::string& name) {
       net_.loop().schedule(millis(1), [this, id, name] {
-        Stack& st = *stacks_.at(id);
-        if (!st.crashed) st.locks->release(name);
+        Stack& holder = *stacks_.at(id);
+        if (!holder.crashed) holder.locks->release(name);
       });
     });
   }
@@ -761,7 +761,6 @@ DurabilityRoundResult run_durability_round(std::uint64_t seed,
 
   DurabilityConfig dcfg;
   dcfg.n_shards = n_shards;
-  dcfg.storage.fsync_every = 4;
   dcfg.storage.snapshot_every = 64;
 
   net::SimNetConfig ncfg;
@@ -825,7 +824,6 @@ DurabilityRoundResult run_reshard_round(std::uint64_t seed,
 
   DurabilityConfig dcfg;
   dcfg.n_shards = n_shards;
-  dcfg.storage.fsync_every = 4;
   dcfg.storage.snapshot_every = 64;
   dcfg.resize_to = opts.resize_to;
   dcfg.resize_at = opts.resize_at;

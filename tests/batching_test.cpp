@@ -171,7 +171,9 @@ TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {
     std::string s = "q" + std::to_string(i);
     auto seq = n.try_multicast(Bytes(s.begin(), s.end()));
     if (seq) {
-      if (last) EXPECT_EQ(*seq, *last + 1) << "refusals must not burn seqs";
+      if (last) {
+        EXPECT_EQ(*seq, *last + 1) << "refusals must not burn seqs";
+      }
       last = seq;
       ++accepted;
     } else {

@@ -67,7 +67,6 @@ struct DurCluster {
         ids(std::move(node_ids)) {
     scfg.eligible = ids;
     stcfg.dir = root;  // per-node subdir applied in build()
-    stcfg.fsync_every = 2;
     stcfg.snapshot_every = 64;
     for (NodeId id : ids) build(id);
   }
@@ -168,6 +167,86 @@ TEST_F(DurabilityTest, SingleNodePersistsAcrossFullTeardown) {
     if (name.find("storage.snapshot.loads") != std::string::npos) loads += v;
   }
   EXPECT_GT(replayed + loads, 0u);
+}
+
+// --- token-visit group commit (DESIGN.md §5g) -------------------------------
+
+std::uint64_t storage_counter(DurCluster& c, NodeId id, const std::string& name) {
+  std::uint64_t total = 0;
+  for (const auto& [key, v] : c.nodes.at(id).plane->storage_snapshot().counters) {
+    if (key.size() >= name.size() &&
+        key.compare(key.size() - name.size(), name.size(), name) == 0) {
+      total += v;
+    }
+  }
+  return total;
+}
+
+TEST_F(DurabilityTest, OnePutIsDurableOnEveryReplicaWithinOneRotation) {
+  // Idle plane, empty commit buffers: a single put must be durable on each
+  // replica at the end of the visit that applied it. There is no record
+  // count to reach first.
+  DurCluster c({1, 2, 3}, root_.string(), /*shards=*/2);
+  c.start_all();
+  ASSERT_TRUE(c.wait_converged({1, 2, 3}));
+  c.run(millis(200));
+  for (NodeId id : c.ids) c.nodes.at(id).plane->flush_storage();
+
+  const std::string key = "solo";
+  const std::size_t shard = c.nodes.at(1).map->write_shard_of(key);
+  std::map<NodeId, std::uint64_t> lsn_before;
+  for (NodeId id : c.ids) {
+    lsn_before[id] = c.nodes.at(id).plane->store(shard)->lsn();
+  }
+  c.nodes.at(1).map->put(key, "v");
+  // Step the simulator 1 ms at a time: whenever a replica shows the put
+  // applied, its journal record must already be synced.
+  std::size_t applied = 0;
+  for (int ms = 0; ms < 200 && applied < c.ids.size(); ++ms) {
+    c.run(millis(1));
+    applied = 0;
+    for (NodeId id : c.ids) {
+      if (!c.nodes.at(id).map->contains(key)) continue;
+      ++applied;
+      storage::ShardStore* st = c.nodes.at(id).plane->store(shard);
+      ASSERT_EQ(st->lsn(), lsn_before[id] + 1) << "node " << id;
+      ASSERT_EQ(st->durable_lsn(), st->lsn())
+          << "node " << id << " applied the put but has not synced it";
+    }
+  }
+  EXPECT_EQ(applied, c.ids.size()) << "put never reached every replica";
+}
+
+TEST_F(DurabilityTest, AVisitDeliveringManyRecordsCostsOneFsync) {
+  // 20 puts ride one batch; every replica delivers the batch in one token
+  // visit and commits all 20 records with exactly one fdatasync.
+  constexpr int kPuts = 20;
+  DurCluster c({1, 2, 3}, root_.string(), /*shards=*/1);
+  c.start_all();
+  ASSERT_TRUE(c.wait_converged({1, 2, 3}));
+  c.run(millis(200));
+  for (NodeId id : c.ids) c.nodes.at(id).plane->flush_storage();
+
+  std::map<NodeId, std::uint64_t> fsyncs_before, appends_before;
+  for (NodeId id : c.ids) {
+    fsyncs_before[id] = storage_counter(c, id, "storage.wal.fsyncs");
+    appends_before[id] = storage_counter(c, id, "storage.wal.appends");
+  }
+  for (int i = 0; i < kPuts; ++i) {
+    c.nodes.at(1).map->put("k" + std::to_string(i), "v");
+  }
+  c.run(millis(300));
+  for (NodeId id : c.ids) {
+    EXPECT_EQ(c.nodes.at(id).map->size(), static_cast<std::size_t>(kPuts));
+    EXPECT_EQ(storage_counter(c, id, "storage.wal.appends") - appends_before[id],
+              static_cast<std::uint64_t>(kPuts))
+        << "node " << id;
+    EXPECT_EQ(storage_counter(c, id, "storage.wal.fsyncs") - fsyncs_before[id],
+              1u)
+        << "node " << id;
+    storage::ShardStore* st = c.nodes.at(id).plane->store(0);
+    EXPECT_EQ(st->durable_lsn(), st->lsn()) << "node " << id;
+  }
 }
 
 TEST_F(DurabilityTest, RestartedNodeDoesNotResurrectEntriesDeletedWhileDown) {

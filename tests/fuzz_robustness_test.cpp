@@ -68,7 +68,7 @@ TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
     w.u8(1);
     w.u64(wire_seq++);
     w.raw(payload.data(), payload.size());
-    evil.send(net::Address{1 + (i % 2), 0}, w.take(), 0);
+    evil.send(net::Address{static_cast<NodeId>(1 + i % 2), 0}, w.take(), 0);
     if (i % 50 == 0) c.run(millis(5));
   }
   c.run(seconds(2));
@@ -95,7 +95,7 @@ TEST_P(FuzzRobustness, BitFlippedTokensAreHandled) {
     w.u8(1);
     w.u64(1000000 + i);
     w.raw(msg.data(), msg.size());
-    evil.send(net::Address{1 + (i % 3), 0}, w.take(), 0);
+    evil.send(net::Address{static_cast<NodeId>(1 + i % 3), 0}, w.take(), 0);
     if (i % 25 == 0) c.run(millis(10));
   }
   // Corrupted tokens may transiently disturb membership (they can parse as

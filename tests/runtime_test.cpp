@@ -161,12 +161,17 @@ TEST_F(RaincoredConfigTest, RejectsMissingKeysAndMalformedJson) {
 
 TEST(ThreadedNodeTest, TwoNodeClusterDeliversAcrossKernelUdp) {
   constexpr std::size_t kShards = 2;
+  const std::filesystem::path journal_dir =
+      std::filesystem::temp_directory_path() /
+      ("raincore-rt-journal-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(journal_dir);
   ThreadedNodeConfig base;
   base.shards = kShards;
   base.ring.eligible = {1, 2};
   auto n1 = std::make_unique<ThreadedNode>([&] {
     ThreadedNodeConfig c = base;
     c.node = 1;
+    c.storage.dir = journal_dir.string();  // per-shard delivery journal
     return c;
   }());
   auto n2 = std::make_unique<ThreadedNode>([&] {
@@ -224,9 +229,21 @@ TEST(ThreadedNodeTest, TwoNodeClusterDeliversAcrossKernelUdp) {
   }
   EXPECT_TRUE(saw_shard1);
   EXPECT_TRUE(saw_proxy);
+  ASSERT_EQ(snap.counters.count("net.udp.send_failed"), 1u);
+  EXPECT_EQ(snap.counters.at("net.udp.send_failed"), 0u);
+
+  // The origin journals its own delivery, and the visit that delivered it
+  // commits the journal: a single record is synced without any drain.
+  ASSERT_TRUE(poll_until([&] {
+    const metrics::Snapshot s = n1->metrics_snapshot();
+    const auto fsyncs = s.counters.find("shard1.storage.wal.fsyncs");
+    return fsyncs != s.counters.end() && fsyncs->second >= 1;
+  })) << "shard-1 journal never synced";
 
   n1->stop();
   n2->stop();
   EXPECT_FALSE(n1->running());
   n1->stop();  // idempotent
+  n1.reset();
+  std::filesystem::remove_all(journal_dir);
 }

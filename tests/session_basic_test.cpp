@@ -152,6 +152,26 @@ TEST(SessionBasic, GracefulLeaveShrinksMembership) {
   EXPECT_FALSE(c.node(3).started());
 }
 
+TEST(SessionBasic, VisitEndHandlerRunsOnEveryVisitIncludingTheLeavingOne) {
+  TestCluster c({1, 2, 3});
+  c.bootstrap_via_join();
+  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  int visits = 0;
+  int after_leave = 0;  // visit ends observed once the node had stopped
+  c.node(3).set_visit_end_handler([&] {
+    ++visits;
+    if (!c.node(3).started()) ++after_leave;
+  });
+  c.run(millis(200));
+  EXPECT_GT(visits, 0);
+  EXPECT_EQ(after_leave, 0);
+  // The leaving visit passes the token and stops without arming a hold
+  // timer; its visit end must still fire (the WAL commit rides it).
+  c.node(3).leave();
+  ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(5)));
+  EXPECT_EQ(after_leave, 1);
+}
+
 TEST(SessionBasic, ViewChangeCallbacksAreMonotonic) {
   TestCluster c({1, 2, 3});
   c.bootstrap_via_join();

@@ -48,13 +48,16 @@ class StorageTest : public ::testing::Test {
 };
 
 TEST_F(StorageTest, WalRoundTrip) {
-  Wal wal(wal_path(), /*fsync_every=*/2);
+  Wal wal(wal_path());
   ASSERT_TRUE(wal.open());
   EXPECT_EQ(wal.append(record("alpha")), 1u);
   EXPECT_EQ(wal.append(record("beta")), 2u);
+  EXPECT_EQ(wal.records_durable(), 0u);  // appends never sync on their own
+  wal.flush();
   EXPECT_EQ(wal.append(record("")), 3u);  // zero-length payload is a record
   EXPECT_EQ(wal.records_appended(), 3u);
-  EXPECT_EQ(wal.records_durable(), 2u);  // one full fsync batch
+  EXPECT_EQ(wal.records_durable(), 2u);  // one flushed batch
+  EXPECT_EQ(wal.fsyncs(), 1u);
   wal.flush();
   EXPECT_EQ(wal.records_durable(), 3u);
   wal.close();
@@ -81,7 +84,7 @@ TEST_F(StorageTest, ZeroLengthLogIsValid) {
 
 TEST_F(StorageTest, TornTailRecordIsTruncatedOnOpen) {
   {
-    Wal wal(wal_path(), 1);
+    Wal wal(wal_path());
     ASSERT_TRUE(wal.open());
     wal.append(record("first"));
     wal.append(record("second-record"));
@@ -106,7 +109,7 @@ TEST_F(StorageTest, TornTailRecordIsTruncatedOnOpen) {
 
 TEST_F(StorageTest, BitFlippedPayloadFailsChecksumAndTruncates) {
   {
-    Wal wal(wal_path(), 1);
+    Wal wal(wal_path());
     ASSERT_TRUE(wal.open());
     wal.append(record("good-one"));
     wal.append(record("to-be-corrupted"));
@@ -133,7 +136,7 @@ TEST_F(StorageTest, BitFlippedPayloadFailsChecksumAndTruncates) {
 
 TEST_F(StorageTest, OversizedLengthPrefixIsATear) {
   {
-    Wal wal(wal_path(), 1);
+    Wal wal(wal_path());
     ASSERT_TRUE(wal.open());
     wal.append(record("ok"));
     wal.close();
@@ -152,11 +155,14 @@ TEST_F(StorageTest, OversizedLengthPrefixIsATear) {
 }
 
 TEST_F(StorageTest, DropUnsyncedModelsThePowerCut) {
-  Wal wal(wal_path(), /*fsync_every=*/3);
+  Wal wal(wal_path());
   ASSERT_TRUE(wal.open());
-  for (int i = 0; i < 7; ++i) wal.append(record("r" + std::to_string(i)));
+  for (int i = 0; i < 7; ++i) {
+    wal.append(record("r" + std::to_string(i)));
+    if (i % 3 == 2) wal.flush();  // commit barrier after every third record
+  }
   EXPECT_EQ(wal.records_appended(), 7u);
-  EXPECT_EQ(wal.records_durable(), 6u);  // two full batches of three
+  EXPECT_EQ(wal.records_durable(), 6u);  // two flushed batches of three
   wal.drop_unsynced();
   EXPECT_EQ(wal.records_appended(), 6u);
   wal.close();
@@ -214,7 +220,6 @@ struct TableStream {
 
 TEST_F(StorageTest, ShardStorePersistsAcrossReopen) {
   StorageConfig cfg;
-  cfg.fsync_every = 1;
   const std::string sdir = (dir_ / "store").string();
   {
     TableStream t;
@@ -226,6 +231,8 @@ TEST_F(StorageTest, ShardStorePersistsAcrossReopen) {
     t.state["b"] = "2";
     store.append(7, TableStream::make_record("b", "2"));
     EXPECT_EQ(store.lsn(), 2u);
+    EXPECT_EQ(store.durable_lsn(), 0u);
+    store.flush();
     EXPECT_EQ(store.durable_lsn(), 2u);
     store.close();
   }
@@ -245,7 +252,6 @@ TEST_F(StorageTest, SnapshotNewerThanWalWins) {
   // recovery must come entirely from the snapshot (replayed == 0) and the
   // LSN must still count the folded records.
   StorageConfig cfg;
-  cfg.fsync_every = 1;
   const std::string sdir = (dir_ / "store").string();
   {
     TableStream t;
@@ -277,7 +283,6 @@ TEST_F(StorageTest, DuplicateRecordReplayIsIdempotent) {
   // mutation twice (snapshot adoption + buffered op). Replay must converge
   // to the same state as a single application.
   StorageConfig cfg;
-  cfg.fsync_every = 1;
   const std::string sdir = (dir_ / "store").string();
   {
     TableStream t;
@@ -302,7 +307,6 @@ TEST_F(StorageTest, DuplicateRecordReplayIsIdempotent) {
 
 TEST_F(StorageTest, AutomaticCompactionAtThreshold) {
   StorageConfig cfg;
-  cfg.fsync_every = 1;
   cfg.snapshot_every = 4;
   const std::string sdir = (dir_ / "store").string();
   TableStream t;
@@ -317,6 +321,8 @@ TEST_F(StorageTest, AutomaticCompactionAtThreshold) {
   const auto snap = store.metrics().snapshot();
   EXPECT_EQ(snap.counters.at("storage.snapshot.writes"), 2u);  // at 4 and 8
   EXPECT_EQ(store.lsn(), 9u);  // logical LSNs survive compaction
+  EXPECT_EQ(store.durable_lsn(), 8u);  // the snapshot covers 8; k8 pends
+  store.flush();
   EXPECT_EQ(store.durable_lsn(), 9u);
   store.close();
 
@@ -330,7 +336,6 @@ TEST_F(StorageTest, AutomaticCompactionAtThreshold) {
 
 TEST_F(StorageTest, CrashMidBatchLosesOnlyTheUnsyncedTail) {
   StorageConfig cfg;
-  cfg.fsync_every = 4;
   const std::string sdir = (dir_ / "store").string();
   {
     TableStream t;
@@ -339,6 +344,7 @@ TEST_F(StorageTest, CrashMidBatchLosesOnlyTheUnsyncedTail) {
     ASSERT_TRUE(store.open());
     for (int i = 0; i < 6; ++i) {
       store.append(7, TableStream::make_record("k" + std::to_string(i), "v"));
+      if (i == 3) store.flush();  // commit barrier: k0..k3 are durable
     }
     EXPECT_EQ(store.lsn(), 6u);
     EXPECT_EQ(store.durable_lsn(), 4u);
@@ -359,7 +365,6 @@ TEST_F(StorageTest, MultiStreamRecoveryPreservesInterleaving) {
   // Two services on one store: the recovery dispatch must route each
   // record to its stream in the original append order.
   StorageConfig cfg;
-  cfg.fsync_every = 1;
   const std::string sdir = (dir_ / "store").string();
   {
     TableStream a, b;

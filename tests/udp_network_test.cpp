@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/metrics.h"
+#include "net/udp_endpoint.h"
 #include "net/udp_network.h"
 #include "session/session_mux.h"
 #include "session/session_node.h"
@@ -27,6 +28,24 @@ TEST(UdpNetworkTest, DatagramRoundTrip) {
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].src, (net::Address{1, 0}));
   EXPECT_EQ(inbox[0].payload, (Bytes{1, 2, 3}));
+}
+
+TEST(UdpNetworkTest, RefusedSendIsCounted) {
+  // A frame over the 65,507-byte UDP payload limit never leaves the host:
+  // sendmsg fails with EMSGSIZE, and the endpoint must count the loss
+  // instead of dropping it silently.
+  net::RealTimeLoop loop;
+  net::AddressBook book;
+  net::UdpEndpoint ep(loop, book, net::UdpEndpointConfig{});
+  const auto failed = [&ep] {
+    return ep.metrics().snapshot().counters.at("net.udp.send_failed");
+  };
+  ep.send(net::Address{0, 0}, Slice::take(Bytes(64, 1)), 0);
+  EXPECT_EQ(failed(), 0u);
+  ep.send(net::Address{0, 0}, Slice::take(Bytes(70000, 1)), 0);
+  EXPECT_EQ(failed(), 1u);
+  ep.send(net::Address{0, 0}, Slice::take(Bytes(70000, 2)), 0);
+  EXPECT_EQ(failed(), 2u);
 }
 
 TEST(UdpNetworkTest, TimersFireInOrder) {

@@ -79,6 +79,12 @@ std::string status_line(runtime::ThreadedNode& node) {
           JsonValue::number(static_cast<double>(proxy_dropped)));
   doc.set("proxy_retries",
           JsonValue::number(static_cast<double>(proxy_retries)));
+  // Datagrams the kernel refused (e.g. a token frame over the 65,507-byte
+  // UDP limit): each is a silent loss the transport can only retransmit.
+  const auto failed = snap.counters.find("net.udp.send_failed");
+  doc.set("udp_send_failed",
+          JsonValue::number(static_cast<double>(
+              failed != snap.counters.end() ? failed->second : 0)));
   return doc.dump();
 }
 
