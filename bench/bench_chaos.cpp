@@ -29,7 +29,7 @@
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
 #include "common/log.h"
-#include "testing/chaos.h"
+#include "testing/chaos_cluster.h"
 
 using namespace raincore;
 

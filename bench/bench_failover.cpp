@@ -22,7 +22,7 @@
 #include "apps/rainwall/rainwall_cluster.h"
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
-#include "testing/chaos.h"
+#include "testing/chaos_cluster.h"
 
 using namespace raincore;
 using namespace raincore::apps;

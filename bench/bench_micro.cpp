@@ -25,11 +25,9 @@ void BM_TokenSerialize(benchmark::State& state) {
   t.view_id = 7;
   for (NodeId i = 1; i <= 8; ++i) t.ring.push_back(i);
   for (int i = 0; i < state.range(0); ++i) {
-    session::AttachedMessage m;
-    m.origin = 1 + (i % 8);
-    m.seq = i;
-    m.payload = Slice::copy(Bytes(128, 0xcd));
-    t.batches.push_back(session::AttachedBatch::single(m));
+    session::BatchBuilder b(1 + (i % 8), 0, i, false);
+    b.add(Slice::copy(Bytes(128, 0xcd)));
+    t.batches.push_back(b.finish(8));
   }
   for (auto _ : state) {
     Slice b = t.encode();
@@ -44,11 +42,9 @@ void BM_TokenDeserialize(benchmark::State& state) {
   t.lineage = 42;
   for (NodeId i = 1; i <= 8; ++i) t.ring.push_back(i);
   for (int i = 0; i < state.range(0); ++i) {
-    session::AttachedMessage m;
-    m.origin = 1;
-    m.seq = i;
-    m.payload = Slice::copy(Bytes(128, 0xcd));
-    t.batches.push_back(session::AttachedBatch::single(m));
+    session::BatchBuilder b(1, 0, i, false);
+    b.add(Slice::copy(Bytes(128, 0xcd)));
+    t.batches.push_back(b.finish(8));
   }
   Slice b = t.encode();
   for (auto _ : state) {

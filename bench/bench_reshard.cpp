@@ -30,7 +30,7 @@
 
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
-#include "testing/durability_chaos.h"
+#include "testing/chaos_cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 1; i <= kNodes; ++i) {
     ids.push_back(static_cast<NodeId>(i));
   }
-  testing::DurabilityChaosCluster cluster(ids, root.string(), ccfg, dcfg,
-                                          scfg, ncfg);
+  testing::ChaosCluster cluster(
+      ids, ccfg, scfg, ncfg,
+      testing::ChaosStack::durable_plane(root.string(), dcfg));
   bool booted = cluster.bootstrap();
   if (booted) {
     cluster.run_chaos(kRunFor);

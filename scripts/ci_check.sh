@@ -1,34 +1,38 @@
 #!/usr/bin/env bash
-# CI gate for the zero-copy wire path: builds an AddressSanitizer tree and
-# runs the two suites most likely to surface aliasing bugs in ref-counted
-# slice buffers — the full chaos sweep (seeds 1..50, every protocol
-# invariant checker armed) and the `perf`-labelled allocation/copy budget
-# tests. A use-after-free in an aliased datagram view, a frame mutated
-# while shared, or a regression back to per-retry copies all fail here.
-#
-# Both sanitizer trees build with -Werror: a new compiler warning fails the
-# gate before any test runs.
+# CI gate: builds an AddressSanitizer tree and a ThreadSanitizer tree, both
+# with -Werror (a new compiler warning fails the gate before any test
+# runs), and drives the chaos harness and the sanitizer-sensitive suites.
 #
 # Usage: scripts/ci_check.sh [asan-build-dir] [tsan-build-dir]
 #   asan-build-dir  defaults to <repo>/build-asan (configured on demand)
 #   tsan-build-dir  defaults to <repo>/build-tsan (configured on demand)
 #
-# The `durability`-labelled suite then runs under the same ASAN tree:
-# WAL format/torn-tail unit tests plus the restart-storm chaos sweep
-# (seeds 1..25) whose oracle allows ZERO acked-write losses and ZERO
-# phantom resurrections, and the bench_durability WAL-overhead gate.
+# Under ASAN, one suite per configuration of the chaos harness
+# (testing::ChaosCluster, src/testing/chaos_cluster.h):
+#   - single-ring app stack: the bench_chaos sweep (seeds 1..50, every
+#     invariant checker armed), then a lossy-link soak — 5% uniform base
+#     loss, RTT-inflation and link-flap faults, the adaptive detector —
+#     that fails if the ground-truth oracle counts more false removals (a
+#     node removed while its process was alive) than SOAK_FALSE_RM_BUDGET;
+#   - multi-ring stack: the `shard` label (25-seed multi-ring sweep,
+#     bench_shard scaling gate) and the `batching` label (its 25-seed sweep
+#     with batching enabled, batch-codec fuzzers over aliased sub-views,
+#     knob-equivalence properties);
+#   - durable sharded stack: the `durability` label (WAL format/torn-tail
+#     tests, restart-storm sweep seeds 1..25 with zero acked-write losses
+#     and zero phantom resurrections, the bench_durability WAL gate) and
+#     the `reshard` label (three migration fault schedules x 9 seeds, the
+#     bench_reshard 4->8 resize gate).
+# The `perf` label (allocation/copy budgets of the zero-copy wire path)
+# also runs under ASAN: a use-after-free in an aliased datagram view, a
+# frame mutated while shared, or a regression back to per-retry copies
+# fails here.
 #
-# A lossy-link soak follows the clean sweep: the same invariant checkers
-# under 5% uniform base packet loss with the RTT-inflation and link-flap
-# fault classes in the schedule and the adaptive detector on. The soak
-# fails if the ground-truth oracle counts more false removals (a node
-# removed while its process was alive) than SOAK_FALSE_RM_BUDGET.
-#
-# A ThreadSanitizer pass closes the gate: the `runtime`-labelled suite
-# (timer wheel + loop parity, SPSC stress, cross-thread eventfd posts,
-# live ThreadedNode clusters, the udp_cluster smoke, the kill -9 raincored
-# harness) runs in a separate TSAN tree, since ASAN and TSAN cannot share
-# one build. Any data race in the I/O-thread/worker handoff fails here.
+# The TSAN tree closes the gate: the `runtime`-labelled suite (timer wheel
+# + loop parity, SPSC stress, cross-thread eventfd posts, live ThreadedNode
+# clusters, the udp_cluster smoke, the kill -9 raincored harness), since
+# ASAN and TSAN cannot share one build. Any data race in the
+# I/O-thread/worker handoff fails here.
 #
 # Environment:
 #   CHAOS_ROUNDS=50 CHAOS_MS=3000 CHAOS_NODES=5 CHAOS_SEED=1  sweep shape
@@ -52,10 +56,12 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== configure + build (ASAN) in $BUILD"
 cmake -B "$BUILD" -S "$ROOT" -DRAINCORE_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror
+# Targets by suite: app-stack sweep + soak; perf; multi-ring (shard,
+# batching); durable stack (durability, reshard).
 cmake --build "$BUILD" -j"$JOBS" --target bench_chaos wire_perf_test \
-    shard_test bench_shard bench_json_check storage_test durability_test \
-    bench_durability batching_test fuzz_robustness_test property_test \
-    bench_saturation reshard_test bench_reshard
+    shard_test bench_shard bench_json_check \
+    batching_test fuzz_robustness_test property_test bench_saturation \
+    storage_test durability_test bench_durability reshard_test bench_reshard
 
 echo "== chaos sweep: $ROUNDS rounds x ${MS}ms, $NODES nodes, seeds $SEED.."
 "$BUILD/bench/bench_chaos" "$ROUNDS" "$MS" "$NODES" "$SEED"

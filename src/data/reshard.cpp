@@ -591,8 +591,13 @@ void ReshardManager::drive(bool force) {
   // merge through discovery. Freezing or chunking before the ring carries
   // the full membership would strand the range's only copy on the
   // coordinator's replica — wait (the tick re-drives) until the step's
-  // rings match ring 0's width.
-  const std::size_t want = plane_.channels(0).view().members.size();
+  // rings match ring 0's width. Ring 0 itself must span a majority of the
+  // eligible nodes: a coordinator whose ring 0 collapsed to a singleton
+  // would otherwise pass the guard with every ring holding one member.
+  const auto& eligible = plane_.channels(0).session().config().eligible;
+  const std::size_t want =
+      std::max(plane_.channels(0).view().members.size(),
+               eligible.empty() ? std::size_t{0} : eligible.size() / 2 + 1);
   const auto ring_ready = [&](std::uint32_t s) {
     return s < plane_.shard_count() &&
            plane_.channels(s).view().members.size() >= want;

@@ -30,14 +30,6 @@ bool AttachedBatch::well_formed() const {
   return pos == n;
 }
 
-AttachedBatch AttachedBatch::single(const AttachedMessage& m) {
-  BatchBuilder b(m.origin, m.incarnation, m.seq, m.safe);
-  b.add(m.payload);
-  AttachedBatch out = b.finish(m.ring_at_attach);
-  out.hops = m.hops;
-  return out;
-}
-
 void BatchBuilder::add(const Slice& body) {
   w_.bytes(body);
   // Gather accounting: this is the payload's one copy on the send path.

@@ -18,25 +18,6 @@
 
 namespace raincore::session {
 
-/// One logical multicast message: the unit of the send queue and of
-/// delivery. On the wire it travels inside an AttachedBatch.
-struct AttachedMessage {
-  NodeId origin = kInvalidNode;
-  std::uint32_t incarnation = 0;  ///< origin's process incarnation; lets
-                                  ///< receivers reset sequence watermarks
-                                  ///< when a node crash-restarts
-  MsgSeq seq = 0;          ///< per-origin, per-ordering-class sequence
-  bool safe = false;       ///< safe ordering: delivered on the second round
-  std::uint16_t hops = 0;  ///< nodes that have processed this message
-  std::uint16_t ring_at_attach = 0;  ///< ring size when attached
-  /// Ref-counted view: on the receive path this aliases the inbound
-  /// datagram's storage (zero-copy scatter); copying it — token copies,
-  /// last_copy_ retention — bumps a refcount, not bytes.
-  Slice payload;
-
-  bool operator==(const AttachedMessage&) const = default;
-};
-
 /// A coalesced run of multicast messages riding the token as one wire unit:
 /// one origin, one ordering class, consecutive sequence numbers (message i
 /// carries seq base_seq + i), one hop/retire clock, and ONE payload area of
@@ -79,9 +60,6 @@ struct AttachedBatch {
       pos += 4 + static_cast<std::size_t>(len);
     }
   }
-
-  /// Degenerate one-message batch (tests, benches, simple producers).
-  static AttachedBatch single(const AttachedMessage& m);
 
   bool operator==(const AttachedBatch&) const = default;
 };

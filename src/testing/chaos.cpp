@@ -9,12 +9,6 @@ namespace raincore::testing {
 
 namespace {
 constexpr const char* kMod = "chaos";
-
-constexpr data::Channel kAppChannel = 1;
-constexpr data::Channel kLockChannel = 2;
-constexpr data::Channel kMapChannel = 3;
-constexpr data::Channel kVipChannel = 4;
-
 }  // namespace
 
 const char* fault_class_name(FaultClass c) {
@@ -57,8 +51,6 @@ std::string FaultEvent::describe() const {
   }
   return buf;
 }
-
-// --- ChaosEngine -----------------------------------------------------------
 
 ChaosEngine::ChaosEngine(net::SimNetwork& net, std::vector<NodeId> ids,
                          ChaosConfig cfg)
@@ -481,1009 +473,6 @@ std::string ChaosEngine::describe_schedule() const {
     out += '\n';
   }
   return out;
-}
-
-// --- ChaosCluster ----------------------------------------------------------
-
-ChaosCluster::ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
-                           session::SessionConfig session_cfg,
-                           net::SimNetConfig net_cfg)
-    : net_(net_cfg),
-      session_cfg_(std::move(session_cfg)),
-      chaos_cfg_(chaos_cfg),
-      ids_(std::move(ids)) {
-  session_cfg_.eligible = ids_;
-  // The public side: ARPs from a disconnected node never reach the segment.
-  subnet_.set_reachability([this](NodeId n) { return net_.node_up(n); });
-  std::vector<std::string> pool;
-  for (std::size_t i = 0; i < ids_.size() + 2; ++i) {
-    pool.push_back("10.1.0." + std::to_string(i + 1));
-  }
-  Rng setup_rng(chaos_cfg_.seed ^ 0x5bd1e995u);
-  for (NodeId id : ids_) {
-    auto& env = net_.add_node(id);
-    auto st = std::make_unique<Stack>();
-    st->session = std::make_unique<session::SessionNode>(env, session_cfg_);
-    st->mux = std::make_unique<data::ChannelMux>(*st->session);
-    st->map = std::make_unique<data::ReplicatedMap>(*st->mux, kMapChannel);
-    st->locks = std::make_unique<data::LockManager>(*st->mux, kLockChannel);
-    apps::VipConfig vcfg;
-    vcfg.pool = pool;
-    vcfg.channel = kVipChannel;
-    st->vips = std::make_unique<apps::VipManager>(*st->mux, subnet_, vcfg);
-    st->traffic_rng = setup_rng.fork();
-    st->mux->subscribe(kAppChannel, [this, id](NodeId origin,
-                                               const Slice& payload,
-                                               session::Ordering) {
-      record_delivery(id, origin, payload);
-    });
-    st->session->set_removal_handler(
-        [this, id](NodeId removed) { on_removal_observed(id, removed); });
-    stacks_.emplace(id, std::move(st));
-  }
-  engine_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg_);
-  engine_->set_crash_hook([this](NodeId id) {
-    Stack& st = *stacks_.at(id);
-    st.session->stop();
-    st.crashed_at = net_.now();
-    st.detection_recorded = false;
-  });
-  engine_->set_restart_hook([this](NodeId id) {
-    Stack& st = *stacks_.at(id);
-    ++st.epoch;  // new incarnation: its traffic counters restart from zero
-    st.traffic_counter = 0;
-    st.crashed_at = -1;
-    st.restarted_at = net_.now();
-    st.session->found();  // discovery (BODYODOR) merges it back in
-  });
-}
-
-ChaosCluster::~ChaosCluster() {
-  traffic_on_ = false;
-  for (auto& [id, st] : stacks_) {
-    if (st->traffic_timer) net_.loop().cancel(st->traffic_timer);
-  }
-}
-
-bool ChaosCluster::bootstrap(Time timeout) {
-  for (auto& [id, st] : stacks_) st->session->found();
-  std::vector<NodeId> want = ids_;
-  std::sort(want.begin(), want.end());
-  Time deadline = net_.now() + timeout;
-  while (net_.now() < deadline) {
-    bool conv = true;
-    for (NodeId id : ids_) {
-      const auto& s = *stacks_.at(id)->session;
-      std::vector<NodeId> got = s.view().members;
-      std::sort(got.begin(), got.end());
-      if (!s.started() || got != want) {
-        conv = false;
-        break;
-      }
-    }
-    if (conv) return true;
-    net_.loop().run_for(millis(10));
-  }
-  violation("bootstrap: cluster never converged");
-  return false;
-}
-
-void ChaosCluster::start_traffic(NodeId id) {
-  Stack& stack = *stacks_.at(id);
-  Time gap = millis(8) + static_cast<Time>(
-                             stack.traffic_rng.next_below(millis(8)));
-  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
-    Stack& st = *stacks_.at(id);
-    st.traffic_timer = 0;
-    if (!traffic_on_) return;
-    if (st.session->started() && st.session->view().has(id)) {
-      std::string payload = "c:" + std::to_string(id) + ":" +
-                            std::to_string(st.epoch) + ":" +
-                            std::to_string(st.traffic_counter++);
-      st.mux->send(kAppChannel, Bytes(payload.begin(), payload.end()));
-    }
-    start_traffic(id);
-  });
-}
-
-void ChaosCluster::record_delivery(NodeId receiver, NodeId origin,
-                                   const Slice& payload) {
-  Stack& st = *stacks_.at(receiver);
-  st.log.push_back(
-      {st.epoch, origin, std::string(payload.begin(), payload.end())});
-}
-
-void ChaosCluster::on_removal_observed(NodeId remover, NodeId removed) {
-  (void)remover;
-  auto it = stacks_.find(removed);
-  if (it == stacks_.end()) return;
-  Stack& target = *it->second;
-  if (target.session->started()) {
-    // A removal landing just after the node's chaos restart was decided
-    // while the node was genuinely down — a correct (if stale) detection
-    // that raced the rejoin, not a detector error. The grace window covers
-    // the worst-case detection bound plus removal propagation.
-    constexpr Time kRestartGrace = millis(500);
-    if (target.restarted_at >= 0 &&
-        net_.now() - target.restarted_at <= kRestartGrace) {
-      true_removals_.inc();
-      return;
-    }
-    // Ground truth says the removed node's process is alive: the detector
-    // misclassified packet loss / congestion as a crash.
-    false_removals_.inc();
-    return;
-  }
-  true_removals_.inc();
-  if (target.crashed_at >= 0 && !target.detection_recorded) {
-    target.detection_recorded = true;
-    detection_latency_.record_time(net_.now() - target.crashed_at);
-  }
-}
-
-void ChaosCluster::run_chaos(Time duration) {
-  traffic_on_ = true;
-  for (NodeId id : ids_) start_traffic(id);
-  engine_->start();
-  Time end = net_.now() + duration;
-  while (net_.now() < end) {
-    net_.loop().run_for(millis(10));
-    check_token_uniqueness("during chaos");
-  }
-}
-
-void ChaosCluster::violation(std::string what) {
-  RC_WARN(kMod, "INVARIANT VIOLATION: %s", what.c_str());
-  violations_.push_back(std::move(what));
-}
-
-metrics::Snapshot ChaosCluster::metrics_snapshot() const {
-  metrics::Snapshot merged;
-  for (const auto& [id, stack] : stacks_) {
-    merged.merge(stack->session->metrics().snapshot());
-    merged.merge(stack->session->transport().metrics().snapshot());
-    merged.merge(stack->mux->metrics().snapshot());
-    merged.merge(stack->map->metrics().snapshot());
-    merged.merge(stack->locks->metrics().snapshot());
-    merged.merge(stack->vips->metrics().snapshot());
-  }
-  merged.merge(harness_metrics_.snapshot());
-  return merged;
-}
-
-std::size_t ChaosCluster::reservoir_samples() const {
-  std::size_t total = 0;
-  for (const auto& [id, stack] : stacks_) {
-    total += stack->session->metrics().reservoir_samples();
-    total += stack->session->transport().metrics().reservoir_samples();
-    total += stack->mux->metrics().reservoir_samples();
-    total += stack->map->metrics().reservoir_samples();
-    total += stack->locks->metrics().reservoir_samples();
-    total += stack->vips->metrics().reservoir_samples();
-  }
-  total += harness_metrics_.reservoir_samples();
-  return total;
-}
-
-std::string ChaosCluster::ring_dump() const {
-  session::RingIntrospector ri;
-  for (const auto& [id, stack] : stacks_) ri.watch(*stack->session);
-  return ri.dump();
-}
-
-std::string ChaosCluster::failure_report() const {
-  std::string out = "=== chaos failure report ===\n";
-  out += "violations (" + std::to_string(violations_.size()) + "):\n";
-  for (const std::string& v : violations_) out += "  " + v + "\n";
-  out += engine_->describe_schedule();
-  out += ring_dump();
-  out += "final metrics snapshot:\n";
-  out += metrics_snapshot().to_table();
-  return out;
-}
-
-void ChaosCluster::check_token_uniqueness(const char* when) {
-  // Sound sampling rule: two nodes may legitimately hold a token each while
-  // their groups have not merged yet (§2.4 strategy 2) — but two nodes with
-  // *identical views* belong to the same logical group and must never both
-  // be EATING.
-  for (auto it = stacks_.begin(); it != stacks_.end(); ++it) {
-    const auto& a = *it->second->session;
-    if (!a.started() || !a.holds_token()) continue;
-    for (auto jt = std::next(it); jt != stacks_.end(); ++jt) {
-      const auto& b = *jt->second->session;
-      if (!b.started() || !b.holds_token()) continue;
-      if (a.view() == b.view()) {
-        violation("token uniqueness (" + std::string(when) + "): nodes " +
-                  std::to_string(it->first) + " and " +
-                  std::to_string(jt->first) +
-                  " both EATING in identical view at t=" +
-                  std::to_string(to_millis(net_.now())) + "ms");
-      }
-    }
-  }
-}
-
-void ChaosCluster::check_membership(const std::vector<NodeId>& live) {
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  for (NodeId id : live) {
-    const auto& s = *stacks_.at(id)->session;
-    std::vector<NodeId> got = s.view().members;
-    std::sort(got.begin(), got.end());
-    if (!s.started() || got != want) {
-      std::string members;
-      for (NodeId m : got) members += std::to_string(m) + " ";
-      violation("membership: node " + std::to_string(id) +
-                " did not converge to the live set (has: " + members + ")");
-    }
-  }
-}
-
-void ChaosCluster::check_chaos_deliveries() {
-  // Per receiver incarnation, per origin incarnation: the chaos-traffic
-  // counters must be strictly increasing — gaps are legitimate (partitions
-  // and ring removals drop messages), duplicates and reordering never are.
-  for (auto& [id, st] : stacks_) {
-    std::map<std::tuple<std::uint64_t, NodeId, std::uint64_t>,
-             std::pair<bool, std::uint64_t>>
-        last;  // (recv_epoch, origin, origin_epoch) -> (seen, counter)
-    for (const Delivered& d : st->log) {
-      if (d.payload.rfind("c:", 0) != 0) continue;
-      NodeId origin = 0;
-      std::uint64_t epoch = 0, counter = 0;
-      if (std::sscanf(d.payload.c_str(), "c:%u:%llu:%llu", &origin,
-                      reinterpret_cast<unsigned long long*>(&epoch),
-                      reinterpret_cast<unsigned long long*>(&counter)) != 3) {
-        violation("delivery: node " + std::to_string(id) +
-                  " received unparseable chaos payload '" + d.payload + "'");
-        continue;
-      }
-      if (origin != d.origin) {
-        violation("delivery: node " + std::to_string(id) + " got payload '" +
-                  d.payload + "' attributed to origin " +
-                  std::to_string(d.origin));
-        continue;
-      }
-      auto key = std::make_tuple(d.recv_epoch, origin, epoch);
-      auto& [seen, prev] = last[key];
-      if (seen && counter <= prev) {
-        violation("delivery: node " + std::to_string(id) +
-                  " saw duplicate/out-of-order counter " +
-                  std::to_string(counter) + " after " + std::to_string(prev) +
-                  " from origin " + std::to_string(origin) + " epoch " +
-                  std::to_string(epoch));
-      }
-      seen = true;
-      prev = counter;
-    }
-  }
-}
-
-void ChaosCluster::check_final_batch(const std::vector<NodeId>& live) {
-  // Post-heal gap-free agreed delivery: a fresh batch multicast by every
-  // live node must arrive complete, exactly once, and in the identical
-  // order everywhere.
-  constexpr int kPerNode = 5;
-  std::map<NodeId, std::size_t> mark;
-  for (NodeId id : live) mark[id] = stacks_.at(id)->log.size();
-  for (NodeId id : live) {
-    for (int k = 0; k < kPerNode; ++k) {
-      std::string payload =
-          "f:" + std::to_string(id) + ":" + std::to_string(k);
-      stacks_.at(id)->mux->send(kAppChannel,
-                                Bytes(payload.begin(), payload.end()));
-    }
-  }
-  const std::size_t expect = live.size() * kPerNode;
-  Time deadline = net_.now() + millis(3000);
-  auto batch_of = [&](NodeId id) {
-    std::vector<std::pair<NodeId, std::string>> out;
-    const auto& log = stacks_.at(id)->log;
-    for (std::size_t i = mark[id]; i < log.size(); ++i) {
-      if (log[i].payload.rfind("f:", 0) == 0) {
-        out.emplace_back(log[i].origin, log[i].payload);
-      }
-    }
-    return out;
-  };
-  while (net_.now() < deadline) {
-    bool all = true;
-    for (NodeId id : live) {
-      if (batch_of(id).size() < expect) {
-        all = false;
-        break;
-      }
-    }
-    if (all) break;
-    net_.loop().run_for(millis(10));
-  }
-  auto ref = batch_of(live.front());
-  if (ref.size() != expect) {
-    violation("final batch: node " + std::to_string(live.front()) +
-              " delivered " + std::to_string(ref.size()) + " of " +
-              std::to_string(expect) + " fresh messages");
-  }
-  for (NodeId id : live) {
-    auto got = batch_of(id);
-    if (got != ref) {
-      std::string detail;
-      for (auto& [origin, payload] : got) {
-        if (!detail.empty()) detail += " ";
-        detail += payload;
-      }
-      violation("final batch: node " + std::to_string(id) +
-                " delivered a different sequence than node " +
-                std::to_string(live.front()) + " (" +
-                std::to_string(got.size()) + " vs " +
-                std::to_string(ref.size()) + " messages; got: [" + detail +
-                "])");
-    }
-  }
-  // Completeness + exactly-once against the expected set.
-  std::map<std::string, int> count;
-  for (auto& [origin, payload] : ref) count[payload]++;
-  for (NodeId id : live) {
-    for (int k = 0; k < kPerNode; ++k) {
-      std::string payload =
-          "f:" + std::to_string(id) + ":" + std::to_string(k);
-      if (count[payload] != 1) {
-        violation("final batch: message '" + payload + "' delivered " +
-                  std::to_string(count[payload]) + " times");
-      }
-    }
-  }
-}
-
-void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
-  // Post-heal mutual exclusion on a fresh lock: every live node requests
-  // it, each must be granted exactly once, and no two grants may overlap.
-  // The depth counter is bumped when a grant fires and dropped just before
-  // the owner initiates its release, so any overlap trips depth > 1.
-  struct Probe {
-    int depth = 0;
-    std::map<NodeId, int> grants;
-  };
-  auto probe = std::make_shared<Probe>();
-  const std::string lock = "chaos-final";
-  for (NodeId id : live) {
-    stacks_.at(id)->locks->acquire(lock, [this, probe, id](const std::string&) {
-      ++probe->depth;
-      if (probe->depth != 1) {
-        violation("lock exclusion: node " + std::to_string(id) +
-                  " granted while another node still holds the lock");
-      }
-      ++probe->grants[id];
-      net_.loop().schedule(millis(2), [this, probe, id] {
-        --probe->depth;
-        stacks_.at(id)->locks->release("chaos-final");
-      });
-    });
-  }
-  Time deadline = net_.now() + millis(5000);
-  while (net_.now() < deadline) {
-    bool all = true;
-    for (NodeId id : live) {
-      if (probe->grants[id] != 1) {
-        all = false;
-        break;
-      }
-    }
-    if (all) break;
-    net_.loop().run_for(millis(10));
-  }
-  for (NodeId id : live) {
-    if (probe->grants[id] != 1) {
-      violation("lock service: node " + std::to_string(id) + " granted " +
-                std::to_string(probe->grants[id]) + " times (want 1)");
-    }
-  }
-  // Let the last release circulate, then every replica must agree: no owner.
-  net_.loop().run_for(millis(500));
-  for (NodeId id : live) {
-    auto owner = stacks_.at(id)->locks->owner(lock);
-    if (owner) {
-      violation("lock service: node " + std::to_string(id) +
-                " still sees owner " + std::to_string(*owner) +
-                " after all releases");
-    }
-  }
-}
-
-void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
-  for (NodeId id : live) {
-    stacks_.at(id)->map->put("final-" + std::to_string(id),
-                             std::to_string(id));
-  }
-  Time deadline = net_.now() + millis(5000);
-  auto settled = [&] {
-    const auto& ref = stacks_.at(live.front())->map->contents();
-    for (NodeId id : live) {
-      const auto& m = *stacks_.at(id)->map;
-      if (!m.synced() || m.contents() != ref) return false;
-      if (!m.contains("final-" + std::to_string(id))) return false;
-    }
-    return true;
-  };
-  while (net_.now() < deadline && !settled()) net_.loop().run_for(millis(10));
-  const auto& ref = stacks_.at(live.front())->map->contents();
-  for (NodeId id : live) {
-    const auto& m = *stacks_.at(id)->map;
-    if (!m.synced()) {
-      violation("replicated map: node " + std::to_string(id) + " never synced");
-      continue;
-    }
-    if (m.contents() != ref) {
-      violation("replicated map: node " + std::to_string(id) + " holds " +
-                std::to_string(m.size()) + " entries, node " +
-                std::to_string(live.front()) + " holds " +
-                std::to_string(ref.size()) + " — replicas diverged");
-    }
-    if (!m.contains("final-" + std::to_string(id))) {
-      violation("replicated map: post-heal put from node " +
-                std::to_string(id) + " was lost");
-    }
-  }
-}
-
-void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
-  const auto& pool = stacks_.at(live.front())->vips->pool();
-  std::set<NodeId> live_set(live.begin(), live.end());
-  Time deadline = net_.now() + millis(5000);
-  auto covered = [&] {
-    for (const std::string& vip : pool) {
-      auto owner = stacks_.at(live.front())->vips->owner_of(vip);
-      if (!owner || live_set.count(*owner) == 0) return false;
-      for (NodeId id : live) {
-        if (stacks_.at(id)->vips->owner_of(vip) != owner) return false;
-      }
-      if (subnet_.resolve(vip) != owner) return false;
-    }
-    return true;
-  };
-  while (net_.now() < deadline && !covered()) net_.loop().run_for(millis(20));
-  if (log_enabled(LogLevel::kDebug)) {
-    for (const std::string& vip : pool) {
-      std::string line = vip + ":";
-      for (NodeId id : live) {
-        auto o = stacks_.at(id)->vips->owner_of(vip);
-        line += " n" + std::to_string(id) + "->" +
-                (o ? std::to_string(*o) : std::string("-"));
-      }
-      auto res = subnet_.resolve(vip);
-      line += " subnet->" + (res ? std::to_string(*res) : std::string("-"));
-      RC_DEBUG(kMod, "%s", line.c_str());
-    }
-  }
-  for (const std::string& vip : pool) {
-    auto owner = stacks_.at(live.front())->vips->owner_of(vip);
-    if (!owner || live_set.count(*owner) == 0) {
-      violation("vip coverage: " + vip + " has no live owner");
-      continue;
-    }
-    for (NodeId id : live) {
-      auto o = stacks_.at(id)->vips->owner_of(vip);
-      if (o != owner) {
-        violation("vip coverage: node " + std::to_string(id) +
-                  " disagrees on the owner of " + vip);
-      }
-    }
-    auto resolved = subnet_.resolve(vip);
-    if (resolved != owner) {
-      violation("vip coverage: subnet resolves " + vip + " to " +
-                (resolved ? std::to_string(*resolved) : "nobody") +
-                " but the assignment says " + std::to_string(*owner));
-    }
-  }
-}
-
-void ChaosCluster::heal_and_check(Time converge_timeout) {
-  engine_->stop_and_heal();
-  // Everybody is back up; wait (with traffic still flowing) until the merged
-  // group converges to the full live set — and STAYS converged. A removal
-  // decided during the fault window (e.g. a token pass failed across a
-  // partition that healed an instant later) can land a few milliseconds
-  // after stop_and_heal; sampling a momentarily-converged group would then
-  // run the post-heal checks against a ring that is about to lose a member.
-  // Requiring a continuous stability window lets any such in-flight
-  // removal land, the victim re-join, and the group settle before we judge.
-  std::vector<NodeId> live = ids_;
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  auto converged = [&] {
-    for (NodeId id : live) {
-      const auto& s = *stacks_.at(id)->session;
-      std::vector<NodeId> got = s.view().members;
-      std::sort(got.begin(), got.end());
-      if (!s.started() || got != want) return false;
-    }
-    return true;
-  };
-  constexpr Time kStableWindow = millis(300);
-  auto wait_stable = [&] {
-    Time deadline = net_.now() + converge_timeout;
-    Time stable_since = -1;
-    while (net_.now() < deadline) {
-      if (converged()) {
-        if (stable_since < 0) stable_since = net_.now();
-        if (net_.now() - stable_since >= kStableWindow) return;
-      } else {
-        stable_since = -1;
-      }
-      net_.loop().run_for(millis(10));
-    }
-  };
-  wait_stable();
-  check_membership(live);
-  // Quiesce: stop the traffic generators and drain in-flight messages.
-  traffic_on_ = false;
-  net_.loop().run_for(millis(300));
-  // Token uniqueness in the quiescent group, sampled across several rounds.
-  for (int i = 0; i < 40; ++i) {
-    check_token_uniqueness("quiescent");
-    net_.loop().run_for(session_cfg_.token_hold / 2 + micros(500));
-  }
-  check_chaos_deliveries();
-  // Re-verify stability before the delivery batch: the quiesce and token
-  // sampling above give a late-landing removal one more chance to fire.
-  wait_stable();
-  check_final_batch(live);
-  check_lock_service(live);
-  check_map_convergence(live);
-  check_vip_coverage(live);
-}
-
-// --- run_chaos_round -------------------------------------------------------
-
-ChaosRoundResult run_chaos_round(std::uint64_t seed, Time chaos_duration,
-                                 std::size_t n_nodes, ChaosProfile profile) {
-  ChaosConfig ccfg;
-  ccfg.seed = seed;
-  net::SimNetConfig ncfg;
-  ncfg.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-  ncfg.default_drop = profile.base_loss;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = profile.adaptive;
-  if (profile.max_batch_msgs > 0) scfg.max_batch_msgs = profile.max_batch_msgs;
-  if (profile.max_batch_bytes > 0) {
-    scfg.max_batch_bytes = profile.max_batch_bytes;
-  }
-  if (profile.flush_deadline > 0) scfg.flush_deadline = profile.flush_deadline;
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= n_nodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
-  ChaosCluster cluster(ids, ccfg, scfg, ncfg);
-  if (cluster.bootstrap()) {
-    cluster.run_chaos(chaos_duration);
-    cluster.heal_and_check();
-  }
-  ChaosRoundResult res;
-  res.violations = cluster.violations();
-  res.schedule = cluster.engine().describe_schedule();
-  res.faults = cluster.engine().faults_injected();
-  res.classes = cluster.engine().classes_seen();
-  res.metrics = cluster.metrics_snapshot();
-  res.reservoir_samples = cluster.reservoir_samples();
-  res.false_removals = cluster.false_removals();
-  res.true_removals = cluster.true_removals();
-  if (!res.violations.empty()) res.report = cluster.failure_report();
-  return res;
-}
-
-// --- MultiRingChaosCluster -------------------------------------------------
-
-MultiRingChaosCluster::MultiRingChaosCluster(std::vector<NodeId> ids,
-                                             std::size_t n_rings,
-                                             ChaosConfig chaos_cfg,
-                                             session::SessionConfig session_cfg,
-                                             net::SimNetConfig net_cfg)
-    : net_(net_cfg),
-      n_rings_(n_rings),
-      session_cfg_(std::move(session_cfg)),
-      chaos_cfg_(chaos_cfg),
-      ids_(std::move(ids)) {
-  if (session_cfg_.eligible.empty()) session_cfg_.eligible = ids_;
-  Rng setup_rng(chaos_cfg_.seed ^ 0x7f4a7c15u);
-  for (NodeId id : ids_) {
-    auto& env = net_.add_node(id);
-    auto st = std::make_unique<Stack>();
-    st->mux =
-        std::make_unique<session::SessionMux>(env, session_cfg_.transport);
-    st->counters.assign(n_rings_, 0);
-    st->logs.resize(n_rings_);
-    st->traffic_rng = setup_rng.fork();
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      auto& ring = st->mux->create_ring(
-          static_cast<transport::MuxGroup>(r), session_cfg_);
-      st->rings.push_back(&ring);
-      Stack* stp = st.get();
-      ring.set_deliver_handler(
-          [stp, r](NodeId origin, const Slice& payload, session::Ordering) {
-            stp->logs[r].push_back(
-                {stp->epoch, origin,
-                 std::string(payload.begin(), payload.end())});
-          });
-    }
-    stacks_.emplace(id, std::move(st));
-  }
-  engine_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg_);
-  engine_->set_crash_hook([this](NodeId id) {
-    // Node-level crash: every ring AND the shared transport go down — a
-    // stopped ring over a live transport would keep acking token passes.
-    stacks_.at(id)->mux->set_enabled(false);
-  });
-  engine_->set_restart_hook([this](NodeId id) {
-    Stack& st = *stacks_.at(id);
-    ++st.epoch;
-    std::fill(st.counters.begin(), st.counters.end(), 0);
-    st.mux->set_enabled(true);
-    for (auto* ring : st.rings) ring->found();
-  });
-}
-
-MultiRingChaosCluster::~MultiRingChaosCluster() {
-  traffic_on_ = false;
-  for (auto& [id, st] : stacks_) {
-    if (st->traffic_timer) net_.loop().cancel(st->traffic_timer);
-  }
-}
-
-bool MultiRingChaosCluster::bootstrap(Time timeout) {
-  for (auto& [id, st] : stacks_) {
-    for (auto* ring : st->rings) ring->found();
-  }
-  std::vector<NodeId> want = ids_;
-  std::sort(want.begin(), want.end());
-  Time deadline = net_.now() + timeout;
-  while (net_.now() < deadline) {
-    bool conv = true;
-    for (auto& [id, st] : stacks_) {
-      for (auto* ring : st->rings) {
-        std::vector<NodeId> got = ring->view().members;
-        std::sort(got.begin(), got.end());
-        if (!ring->started() || got != want) {
-          conv = false;
-          break;
-        }
-      }
-      if (!conv) break;
-    }
-    if (conv) return true;
-    net_.loop().run_for(millis(10));
-  }
-  violation("bootstrap: not every ring converged");
-  return false;
-}
-
-void MultiRingChaosCluster::start_traffic(NodeId id) {
-  Stack& stack = *stacks_.at(id);
-  Time gap =
-      millis(8) + static_cast<Time>(stack.traffic_rng.next_below(millis(8)));
-  stack.traffic_timer = net_.loop().schedule(gap, [this, id] {
-    Stack& st = *stacks_.at(id);
-    st.traffic_timer = 0;
-    if (!traffic_on_) return;
-    // Round-robin the rings so every shard sees load each epoch.
-    const std::size_t r =
-        static_cast<std::size_t>(st.traffic_rng.next_below(n_rings_));
-    session::SessionNode& ring = *st.rings[r];
-    if (ring.started() && ring.view().has(id)) {
-      std::string payload = "c:" + std::to_string(id) + ":" +
-                            std::to_string(st.epoch) + ":" +
-                            std::to_string(st.counters[r]++);
-      ring.multicast(Bytes(payload.begin(), payload.end()));
-    }
-    start_traffic(id);
-  });
-}
-
-void MultiRingChaosCluster::run_chaos(Time duration) {
-  traffic_on_ = true;
-  for (NodeId id : ids_) start_traffic(id);
-  engine_->start();
-  Time end = net_.now() + duration;
-  while (net_.now() < end) {
-    net_.loop().run_for(millis(10));
-    check_ring_token_uniqueness("during chaos");
-  }
-}
-
-void MultiRingChaosCluster::violation(std::string what) {
-  RC_WARN(kMod, "INVARIANT VIOLATION: %s", what.c_str());
-  violations_.push_back(std::move(what));
-}
-
-std::uint64_t MultiRingChaosCluster::fanout_removals() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, st] : stacks_) {
-    const auto snap = st->mux->metrics_snapshot();
-    for (const auto& [name, value] : snap.counters) {
-      if (name.size() >= sizeof("session.suspect_removals") - 1 &&
-          name.find("session.suspect_removals") != std::string::npos) {
-        total += value;
-      }
-    }
-  }
-  return total;
-}
-
-std::string MultiRingChaosCluster::failure_report() const {
-  std::string out = "=== multi-ring chaos failure report ===\n";
-  out += "violations (" + std::to_string(violations_.size()) + "):\n";
-  for (const std::string& v : violations_) out += "  " + v + "\n";
-  out += engine_->describe_schedule();
-  session::RingIntrospector ri;
-  for (const auto& [id, st] : stacks_) {
-    for (auto* ring : st->rings) ri.watch(*ring);
-  }
-  out += ri.dump();
-  return out;
-}
-
-void MultiRingChaosCluster::check_ring_token_uniqueness(const char* when) {
-  // Same sampling rule as the single-ring harness, applied per ring index:
-  // rings with different groups are independent protocols and may each have
-  // a holder; two holders with identical views WITHIN one ring never.
-  for (std::size_t r = 0; r < n_rings_; ++r) {
-    for (auto it = stacks_.begin(); it != stacks_.end(); ++it) {
-      const auto& a = *it->second->rings[r];
-      if (!a.started() || !a.holds_token()) continue;
-      for (auto jt = std::next(it); jt != stacks_.end(); ++jt) {
-        const auto& b = *jt->second->rings[r];
-        if (!b.started() || !b.holds_token()) continue;
-        if (a.view() == b.view()) {
-          violation("ring " + std::to_string(r) + " token uniqueness (" +
-                    std::string(when) + "): nodes " +
-                    std::to_string(it->first) + " and " +
-                    std::to_string(jt->first) +
-                    " both EATING in identical view at t=" +
-                    std::to_string(to_millis(net_.now())) + "ms");
-        }
-      }
-    }
-  }
-}
-
-void MultiRingChaosCluster::check_ring_memberships(
-    const std::vector<NodeId>& live) {
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  for (NodeId id : live) {
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      const auto& ring = *stacks_.at(id)->rings[r];
-      std::vector<NodeId> got = ring.view().members;
-      std::sort(got.begin(), got.end());
-      if (!ring.started() || got != want) {
-        std::string members;
-        for (NodeId m : got) members += std::to_string(m) + " ";
-        violation("membership: node " + std::to_string(id) + " ring " +
-                  std::to_string(r) +
-                  " did not converge to the live set (has: " + members + ")");
-      }
-    }
-  }
-}
-
-void MultiRingChaosCluster::check_ring_deliveries() {
-  // Per ring, per receiver incarnation, per origin incarnation: strictly
-  // increasing chaos counters (gaps fine, duplicates/reordering never).
-  for (auto& [id, st] : stacks_) {
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      std::map<std::tuple<std::uint64_t, NodeId, std::uint64_t>,
-               std::pair<bool, std::uint64_t>>
-          last;
-      for (const Delivered& d : st->logs[r]) {
-        if (d.payload.rfind("c:", 0) != 0) continue;
-        NodeId origin = 0;
-        std::uint64_t epoch = 0, counter = 0;
-        if (std::sscanf(d.payload.c_str(), "c:%u:%llu:%llu", &origin,
-                        reinterpret_cast<unsigned long long*>(&epoch),
-                        reinterpret_cast<unsigned long long*>(&counter)) !=
-            3) {
-          violation("delivery: node " + std::to_string(id) + " ring " +
-                    std::to_string(r) + " received unparseable payload '" +
-                    d.payload + "'");
-          continue;
-        }
-        auto key = std::make_tuple(d.recv_epoch, origin, epoch);
-        auto& [seen, prev] = last[key];
-        if (seen && counter <= prev) {
-          violation("delivery: node " + std::to_string(id) + " ring " +
-                    std::to_string(r) + " saw duplicate/out-of-order counter " +
-                    std::to_string(counter) + " after " +
-                    std::to_string(prev) + " from origin " +
-                    std::to_string(origin));
-        }
-        seen = true;
-        prev = counter;
-      }
-    }
-  }
-}
-
-void MultiRingChaosCluster::check_ring_final_batches(
-    const std::vector<NodeId>& live) {
-  // Post-heal agreed order, independently per ring: a fresh batch from
-  // every node on every ring must arrive complete, exactly once, and in an
-  // identical per-ring sequence everywhere.
-  constexpr int kPerNode = 3;
-  std::map<NodeId, std::vector<std::size_t>> mark;
-  for (NodeId id : live) {
-    auto& st = *stacks_.at(id);
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      mark[id].push_back(st.logs[r].size());
-    }
-  }
-  for (NodeId id : live) {
-    for (std::size_t r = 0; r < n_rings_; ++r) {
-      for (int k = 0; k < kPerNode; ++k) {
-        std::string payload = "f:" + std::to_string(id) + ":" +
-                              std::to_string(r) + ":" + std::to_string(k);
-        stacks_.at(id)->rings[r]->multicast(
-            Bytes(payload.begin(), payload.end()));
-      }
-    }
-  }
-  const std::size_t expect = live.size() * kPerNode;
-  auto batch_of = [&](NodeId id, std::size_t r) {
-    std::vector<std::pair<NodeId, std::string>> out;
-    const auto& log = stacks_.at(id)->logs[r];
-    for (std::size_t i = mark[id][r]; i < log.size(); ++i) {
-      if (log[i].payload.rfind("f:", 0) == 0) {
-        out.emplace_back(log[i].origin, log[i].payload);
-      }
-    }
-    return out;
-  };
-  Time deadline = net_.now() + millis(4000);
-  while (net_.now() < deadline) {
-    bool all = true;
-    for (NodeId id : live) {
-      for (std::size_t r = 0; r < n_rings_ && all; ++r) {
-        if (batch_of(id, r).size() < expect) all = false;
-      }
-      if (!all) break;
-    }
-    if (all) break;
-    net_.loop().run_for(millis(10));
-  }
-  for (std::size_t r = 0; r < n_rings_; ++r) {
-    auto ref = batch_of(live.front(), r);
-    if (ref.size() != expect) {
-      violation("final batch: node " + std::to_string(live.front()) +
-                " ring " + std::to_string(r) + " delivered " +
-                std::to_string(ref.size()) + " of " + std::to_string(expect));
-    }
-    for (NodeId id : live) {
-      if (batch_of(id, r) != ref) {
-        violation("final batch: node " + std::to_string(id) + " ring " +
-                  std::to_string(r) +
-                  " delivered a different agreed sequence than node " +
-                  std::to_string(live.front()));
-      }
-    }
-  }
-}
-
-void MultiRingChaosCluster::check_detector_consistency(
-    const std::vector<NodeId>& live) {
-  // Cross-ring detector consistency: one shared failure detector feeding K
-  // rings must leave them agreeing at quiescence...
-  for (NodeId id : live) {
-    const auto& st = *stacks_.at(id);
-    // Ring order (the token circulation order) legitimately differs per
-    // ring — only the member SET must agree.
-    std::vector<NodeId> ref = st.rings[0]->view().members;
-    std::sort(ref.begin(), ref.end());
-    for (std::size_t r = 1; r < n_rings_; ++r) {
-      std::vector<NodeId> got = st.rings[r]->view().members;
-      std::sort(got.begin(), got.end());
-      if (got != ref) {
-        violation("detector consistency: node " + std::to_string(id) +
-                  " rings 0 and " + std::to_string(r) +
-                  " disagree on membership at quiescence");
-      }
-    }
-    // ...and must exist exactly once per node: the shared transport owns
-    // `transport.*`; a per-ring copy (e.g. "ring1.transport.rtt_samples")
-    // would mean duplicated detection state.
-    const auto snap = st.mux->metrics_snapshot();
-    std::size_t plain = 0, prefixed = 0;
-    for (const auto& [name, value] : snap.counters) {
-      if (name == "transport.rtt_samples") {
-        ++plain;
-      } else if (name.find("transport.rtt_samples") != std::string::npos) {
-        ++prefixed;
-      }
-    }
-    if (plain != 1 || prefixed != 0) {
-      violation("detector state: node " + std::to_string(id) + " has " +
-                std::to_string(plain) + " shared + " +
-                std::to_string(prefixed) +
-                " per-ring transport.rtt_samples instruments (want 1 + 0)");
-    }
-  }
-}
-
-void MultiRingChaosCluster::heal_and_check(Time converge_timeout) {
-  engine_->stop_and_heal();
-  std::vector<NodeId> live = ids_;
-  std::vector<NodeId> want = live;
-  std::sort(want.begin(), want.end());
-  auto converged = [&] {
-    for (NodeId id : live) {
-      for (auto* ring : stacks_.at(id)->rings) {
-        std::vector<NodeId> got = ring->view().members;
-        std::sort(got.begin(), got.end());
-        if (!ring->started() || got != want) return false;
-      }
-    }
-    return true;
-  };
-  // Same continuous-stability rule as the single-ring harness, but EVERY
-  // ring must hold the full view through the window simultaneously.
-  constexpr Time kStableWindow = millis(300);
-  auto wait_stable = [&] {
-    Time deadline = net_.now() + converge_timeout;
-    Time stable_since = -1;
-    while (net_.now() < deadline) {
-      if (converged()) {
-        if (stable_since < 0) stable_since = net_.now();
-        if (net_.now() - stable_since >= kStableWindow) return;
-      } else {
-        stable_since = -1;
-      }
-      net_.loop().run_for(millis(10));
-    }
-  };
-  wait_stable();
-  check_ring_memberships(live);
-  traffic_on_ = false;
-  net_.loop().run_for(millis(300));
-  for (int i = 0; i < 40; ++i) {
-    check_ring_token_uniqueness("quiescent");
-    net_.loop().run_for(session_cfg_.token_hold / 2 + micros(500));
-  }
-  check_ring_deliveries();
-  wait_stable();
-  check_ring_final_batches(live);
-  check_detector_consistency(live);
-}
-
-ChaosRoundResult run_multi_ring_round(std::uint64_t seed, Time chaos_duration,
-                                      std::size_t n_nodes,
-                                      std::size_t n_rings,
-                                      ChaosProfile profile) {
-  ChaosConfig ccfg;
-  ccfg.seed = seed;
-  net::SimNetConfig ncfg;
-  ncfg.seed = seed ^ 0xc2b2ae3d27d4eb4fULL;
-  ncfg.default_drop = profile.base_loss;
-  session::SessionConfig scfg;
-  scfg.transport.adaptive = profile.adaptive;
-  if (profile.max_batch_msgs > 0) scfg.max_batch_msgs = profile.max_batch_msgs;
-  if (profile.max_batch_bytes > 0) {
-    scfg.max_batch_bytes = profile.max_batch_bytes;
-  }
-  if (profile.flush_deadline > 0) scfg.flush_deadline = profile.flush_deadline;
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= n_nodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
-  MultiRingChaosCluster cluster(ids, n_rings, ccfg, scfg, ncfg);
-  if (cluster.bootstrap()) {
-    cluster.run_chaos(chaos_duration);
-    cluster.heal_and_check();
-  }
-  ChaosRoundResult res;
-  res.violations = cluster.violations();
-  res.schedule = cluster.engine().describe_schedule();
-  res.faults = cluster.engine().faults_injected();
-  res.classes = cluster.engine().classes_seen();
-  for (NodeId id : ids) res.metrics.merge(cluster.mux(id).metrics_snapshot());
-  if (!res.violations.empty()) res.report = cluster.failure_report();
-  return res;
 }
 
 }  // namespace raincore::testing

@@ -1,41 +1,26 @@
-// Deterministic chaos engine with protocol invariant checkers.
+// Deterministic chaos engine.
 //
-// Drives a live simulated Raincore cluster through a randomized but fully
-// seed-replayable schedule of faults — crash/restart with new incarnations,
-// partitions, link cuts, drop-rate bursts, latency storms, duplication
-// bursts, corruption bursts and reordering windows — interleaved with
-// application traffic, then heals everything and asserts the protocol
-// invariants the paper promises:
+// Injects a randomized but fully seed-replayable schedule of faults into a
+// SimNetwork — crash/restart with new incarnations, partitions, link cuts,
+// drop-rate bursts, latency storms, duplication bursts, corruption bursts,
+// reordering windows, RTT inflation, asymmetric loss, link flaps, and (for
+// the durable data plane) shard and whole-cluster restarts. Every
+// stochastic decision draws from one seeded Rng in virtual time, so the
+// seed plus the recorded schedule reproduce a run bit-for-bit.
 //
-//   - at most one token holder among nodes sharing an identical view (§2.2);
-//   - membership converges to exactly the live set (§2.3/§2.4);
-//   - gap-free, identically-ordered per-origin multicast delivery on the
-//     surviving nodes (§2.6), and exactly-once delivery per incarnation
-//     throughout the chaos phase;
-//   - distributed-lock mutual exclusion and replica agreement (§2.7);
-//   - replicated-map convergence across replicas (§3);
-//   - every virtual IP covered by a live owner the subnet resolves (§3.1).
-//
-// Every stochastic decision draws from one seeded Rng in virtual time, so a
-// violation report carries the seed and the full fault schedule: re-running
-// with the same seed reproduces the failure bit-for-bit.
+// The engine only drives the network and the up/down bookkeeping; the
+// protocol stack reacts through hooks. ChaosCluster (testing/
+// chaos_cluster.h) is the harness that pairs it with live stacks and the
+// invariant checkers; TestCluster and the benches use it directly.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "apps/vip/vip_manager.h"
-#include "common/metrics.h"
-#include "data/lock_manager.h"
-#include "data/replicated_map.h"
 #include "net/sim_network.h"
-#include "session/introspect.h"
-#include "session/session_mux.h"
-#include "session/session_node.h"
 
 namespace raincore::testing {
 
@@ -181,225 +166,5 @@ class ChaosEngine {
   ShardHook on_shard_crash_;
   ShardHook on_shard_restart_;
 };
-
-// --- Full-stack chaos harness ----------------------------------------------
-
-/// A complete Raincore stack per node — session, channel mux, replicated
-/// map, distributed lock manager, virtual-IP manager on a shared subnet —
-/// plus a deterministic traffic generator and the invariant checkers.
-class ChaosCluster {
- public:
-  ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
-               session::SessionConfig session_cfg = {},
-               net::SimNetConfig net_cfg = {});
-  ~ChaosCluster();
-
-  /// Phase 1: found everybody and wait for one converged group.
-  bool bootstrap(Time timeout = millis(5000));
-  /// Phase 2: background traffic + fault injection for `duration`.
-  void run_chaos(Time duration);
-  /// Phase 3: heal everything, wait for reconvergence, run the quiescent
-  /// invariant checks. Appends to violations().
-  void heal_and_check(Time converge_timeout = millis(15000));
-
-  const std::vector<std::string>& violations() const { return violations_; }
-  ChaosEngine& engine() { return *engine_; }
-  net::SimNetwork& net() { return net_; }
-  session::SessionNode& session(NodeId id) { return *stacks_.at(id)->session; }
-
-  /// Cluster-wide merge of every layer's registry on every node (transport,
-  /// session, mux, map, locks, VIPs) plus the harness's failure-detection
-  /// oracle instruments. Deterministic for a given seed.
-  metrics::Snapshot metrics_snapshot() const;
-  /// Failure-detection oracle: removals of a node whose process was alive
-  /// at removal time (the false-alarm cost of §2.2's aggressive detector).
-  std::uint64_t false_removals() const { return false_removals_.value(); }
-  /// Removals of genuinely crashed nodes.
-  std::uint64_t true_removals() const { return true_removals_.value(); }
-  /// Samples currently held across all histogram reservoirs, cluster-wide —
-  /// the memory-flatness measure for long soaks.
-  std::size_t reservoir_samples() const;
-  /// Live ring state of every node (RingIntrospector rendering).
-  std::string ring_dump() const;
-  /// Diagnostic artifact for a failed round: violations, the replayable
-  /// fault schedule, the ring dump, and the final metrics table.
-  std::string failure_report() const;
-
- private:
-  struct Stack;
-
-  void start_traffic(NodeId id);
-  void record_delivery(NodeId receiver, NodeId origin, const Slice& payload);
-  void on_removal_observed(NodeId remover, NodeId removed);
-  void check_token_uniqueness(const char* when);
-  void check_membership(const std::vector<NodeId>& live);
-  void check_chaos_deliveries();
-  void check_final_batch(const std::vector<NodeId>& live);
-  void check_lock_service(const std::vector<NodeId>& live);
-  void check_map_convergence(const std::vector<NodeId>& live);
-  void check_vip_coverage(const std::vector<NodeId>& live);
-  void violation(std::string what);
-
-  net::SimNetwork net_;
-  session::SessionConfig session_cfg_;
-  ChaosConfig chaos_cfg_;
-  apps::Subnet subnet_;
-  std::unique_ptr<ChaosEngine> engine_;
-
-  struct Delivered {
-    std::uint64_t recv_epoch;
-    NodeId origin;
-    std::string payload;
-  };
-  struct Stack {
-    std::unique_ptr<session::SessionNode> session;
-    std::unique_ptr<data::ChannelMux> mux;
-    std::unique_ptr<data::ReplicatedMap> map;
-    std::unique_ptr<data::LockManager> locks;
-    std::unique_ptr<apps::VipManager> vips;
-    std::uint64_t epoch = 0;  ///< incremented on every chaos restart
-    std::uint64_t traffic_counter = 0;
-    net::TimerId traffic_timer = 0;
-    Rng traffic_rng{0};
-    std::vector<Delivered> log;
-    Time crashed_at = -1;  ///< virtual time of the current crash, -1 if up
-    Time restarted_at = -1;  ///< virtual time of the last chaos restart
-    bool detection_recorded = false;  ///< latency sampled for this crash
-  };
-  std::map<NodeId, std::unique_ptr<Stack>> stacks_;
-  std::vector<NodeId> ids_;
-  bool traffic_on_ = false;
-  std::vector<std::string> violations_;
-
-  /// Harness-owned oracle instruments: removal outcomes judged against
-  /// ground truth (was the removed node's process actually alive?) and the
-  /// crash-to-first-removal detection latency.
-  metrics::Registry harness_metrics_;
-  Counter& false_removals_ = harness_metrics_.counter("session.false_removals");
-  Counter& true_removals_ = harness_metrics_.counter("session.true_removals");
-  Histogram& detection_latency_ =
-      harness_metrics_.histogram("session.detection_latency_ns");
-};
-
-/// One full chaos round: bootstrap → chaos + traffic → heal → invariant
-/// checks. Everything derives from `seed`; identical seeds produce identical
-/// schedules and outcomes.
-struct ChaosRoundResult {
-  std::vector<std::string> violations;
-  std::string schedule;  ///< seed + fault log (replay recipe)
-  std::size_t faults = 0;
-  std::set<FaultClass> classes;
-  /// Final cluster-wide metrics (deterministic per seed).
-  metrics::Snapshot metrics;
-  std::size_t reservoir_samples = 0;
-  /// Full diagnostic artifact (ring dump + metrics table); non-empty only
-  /// when the round had violations.
-  std::string report;
-  /// Oracle outcomes (also present in `metrics` under session.*).
-  std::uint64_t false_removals = 0;
-  std::uint64_t true_removals = 0;
-};
-
-/// Environment profile for a chaos round, layered under the fault schedule:
-/// a uniform base packet-loss rate on every link and the choice between the
-/// paper's fixed-RTO detector and the adaptive one (RTT estimation, backoff
-/// with jitter, health steering, probation).
-struct ChaosProfile {
-  double base_loss = 0.0;
-  bool adaptive = false;
-  /// Token-hop batching knobs (session_node.h). Zero = leave the session
-  /// defaults untouched, which keeps every pre-batching seeded schedule
-  /// bit-identical; set all three to exercise batch formation (including
-  /// the flush-deadline deferral path) under the fault schedule.
-  std::size_t max_batch_msgs = 0;
-  std::size_t max_batch_bytes = 0;
-  Time flush_deadline = 0;
-};
-
-ChaosRoundResult run_chaos_round(std::uint64_t seed,
-                                 Time chaos_duration = millis(2000),
-                                 std::size_t n_nodes = 5,
-                                 ChaosProfile profile = {});
-
-// --- Multi-ring chaos harness ----------------------------------------------
-
-/// N nodes × K independent rings over ONE shared transport per node
-/// (session/session_mux.h). Crashes are node-level: the whole mux goes down
-/// — every ring plus the shared transport — and a restart re-enables the
-/// transport and re-founds every ring as a fresh incarnation.
-///
-/// Checks every per-ring protocol invariant (token uniqueness within a
-/// ring, membership convergence, duplicate-free in-order chaos deliveries,
-/// identical post-heal agreed order) independently per ring, plus the
-/// cross-ring invariants that only exist in the multi-session runtime:
-///   - detector consistency: at quiescence every ring on every node agrees
-///     on the same live membership (one failure detector feeding K rings
-///     must not leave them with divergent opinions);
-///   - single detection state: each node's merged metrics contain exactly
-///     one `transport.rtt_samples` instrument — the shared transport's —
-///     and no per-ring duplicate of any transport.* instrument.
-class MultiRingChaosCluster {
- public:
-  MultiRingChaosCluster(std::vector<NodeId> ids, std::size_t n_rings,
-                        ChaosConfig chaos_cfg,
-                        session::SessionConfig session_cfg = {},
-                        net::SimNetConfig net_cfg = {});
-  ~MultiRingChaosCluster();
-
-  bool bootstrap(Time timeout = millis(8000));
-  void run_chaos(Time duration);
-  void heal_and_check(Time converge_timeout = millis(15000));
-
-  const std::vector<std::string>& violations() const { return violations_; }
-  ChaosEngine& engine() { return *engine_; }
-  net::SimNetwork& net() { return net_; }
-  session::SessionMux& mux(NodeId id) { return *stacks_.at(id)->mux; }
-  std::size_t ring_count() const { return n_rings_; }
-  /// Suspicion fan-out removals across all nodes/rings (session.suspect_
-  /// removals) — membership updates that cost no extra detection work.
-  std::uint64_t fanout_removals() const;
-  std::string failure_report() const;
-
- private:
-  struct Delivered {
-    std::uint64_t recv_epoch;
-    NodeId origin;
-    std::string payload;
-  };
-  struct Stack {
-    std::unique_ptr<session::SessionMux> mux;
-    std::vector<session::SessionNode*> rings;
-    std::uint64_t epoch = 0;  ///< incremented on every chaos restart
-    std::vector<std::uint64_t> counters;        ///< per-ring traffic counter
-    std::vector<std::vector<Delivered>> logs;   ///< per-ring delivery log
-    net::TimerId traffic_timer = 0;
-    Rng traffic_rng{0};
-  };
-
-  void start_traffic(NodeId id);
-  void check_ring_token_uniqueness(const char* when);
-  void check_ring_memberships(const std::vector<NodeId>& live);
-  void check_ring_deliveries();
-  void check_ring_final_batches(const std::vector<NodeId>& live);
-  void check_detector_consistency(const std::vector<NodeId>& live);
-  void violation(std::string what);
-
-  net::SimNetwork net_;
-  std::size_t n_rings_;
-  session::SessionConfig session_cfg_;
-  ChaosConfig chaos_cfg_;
-  std::unique_ptr<ChaosEngine> engine_;
-  std::map<NodeId, std::unique_ptr<Stack>> stacks_;
-  std::vector<NodeId> ids_;
-  bool traffic_on_ = false;
-  std::vector<std::string> violations_;
-};
-
-/// One full multi-ring chaos round, fully derived from `seed`.
-ChaosRoundResult run_multi_ring_round(std::uint64_t seed,
-                                      Time chaos_duration = millis(2000),
-                                      std::size_t n_nodes = 4,
-                                      std::size_t n_rings = 3,
-                                      ChaosProfile profile = {});
 
 }  // namespace raincore::testing

@@ -5,7 +5,7 @@
 // sweep with batching enabled (ctest -L batching).
 #include <gtest/gtest.h>
 
-#include "testing/chaos.h"
+#include "testing/chaos_cluster.h"
 #include "tests/util/test_cluster.h"
 
 namespace raincore {

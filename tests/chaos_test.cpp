@@ -3,10 +3,11 @@
 // every healed round (token uniqueness, membership convergence, gap-free
 // agreed delivery, DLM mutual exclusion, replicated-map convergence, VIP
 // coverage).
-#include "testing/chaos.h"
+#include "testing/chaos_cluster.h"
 
 #include <gtest/gtest.h>
 
+#include "session/introspect.h"
 #include "tests/util/test_cluster.h"
 
 namespace raincore::testing {

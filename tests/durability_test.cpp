@@ -13,13 +13,13 @@
 #include "data/shard_router.h"
 #include "net/sim_network.h"
 #include "session/session_mux.h"
-#include "testing/durability_chaos.h"
+#include "testing/chaos_cluster.h"
 
 namespace raincore {
 namespace {
 
 namespace fs = std::filesystem;
-using testing::DurabilityRoundResult;
+using testing::ChaosRoundResult;
 using testing::run_durability_round;
 
 constexpr data::Channel kMapChannel = 1;
@@ -410,7 +410,7 @@ void run_sweep(std::uint64_t first_seed, std::uint64_t last_seed,
   std::uint64_t total_acked = 0;
   for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
     const std::string dir = root + "/seed" + std::to_string(seed);
-    DurabilityRoundResult res = run_durability_round(seed, dir);
+    ChaosRoundResult res = run_durability_round(seed, dir);
     EXPECT_TRUE(res.violations.empty())
         << "seed " << seed << ":\n" << res.report;
     EXPECT_EQ(res.acked_lost, 0u) << "seed " << seed << " lost acked writes";
@@ -443,8 +443,8 @@ TEST_F(DurabilityTest, SameSeedSameOutcome) {
   // — storage.recovery_ns measures real disk time).
   const std::string d1 = (root_ / "a").string();
   const std::string d2 = (root_ / "b").string();
-  DurabilityRoundResult r1 = run_durability_round(7, d1);
-  DurabilityRoundResult r2 = run_durability_round(7, d2);
+  ChaosRoundResult r1 = run_durability_round(7, d1);
+  ChaosRoundResult r2 = run_durability_round(7, d2);
   EXPECT_EQ(r1.schedule, r2.schedule);
   EXPECT_EQ(r1.faults, r2.faults);
   EXPECT_EQ(r1.violations, r2.violations);

@@ -13,7 +13,7 @@
 
 #include "data/reshard.h"
 #include "net/sim_network.h"
-#include "testing/durability_chaos.h"
+#include "testing/chaos_cluster.h"
 
 namespace raincore {
 namespace {
@@ -361,6 +361,55 @@ TEST(ReshardLiveTest, SecondResizeUsesTheNextEpoch) {
   }
 }
 
+TEST(ReshardLiveTest, SingletonRingZeroCoordinatorDefersFreezeAndChunks) {
+  // A coordinator whose ring 0 collapsed to a singleton must not freeze or
+  // chunk: its fresh destination rings are singletons too, so the guard
+  // "destination as wide as ring 0" passes trivially and the range's only
+  // copy would be stranded on its own replica.
+  ReshardFixture f(4, 2);
+  ASSERT_TRUE(f.converge());
+  for (int i = 0; i < 40; ++i) {
+    f.stacks.at(1)->map->put("sk" + std::to_string(i), "v");
+  }
+  ASSERT_TRUE(f.run_until([&] { return f.stacks.at(4)->map->size() == 40; }));
+
+  ReshardFixture::Stack& coord = *f.stacks.at(1);
+  auto ring0_width = [&] {
+    return coord.plane->channels(0).view().members.size();
+  };
+  auto froze_or_chunked = [&] {
+    if (coord.mgr->metrics().counter("data.reshard.chunks_sent").value() > 0) {
+      return true;
+    }
+    for (const auto& [range, state] : coord.plane->vrouter().ranges()) {
+      if (state != RangeState::kPending) return true;
+    }
+    return false;
+  };
+  f.net.partition({{1}, {2, 3, 4}});
+  ASSERT_TRUE(f.run_until([&] { return ring0_width() == 1; }, seconds(10)));
+  coord.mgr->start_resize(4);
+  ASSERT_TRUE(f.run_until([&] { return coord.mgr->migrating(); }, seconds(2)))
+      << "the isolated node never opened the migration window";
+  EXPECT_FALSE(f.run_until(froze_or_chunked, seconds(2)))
+      << "FREEZE/CHUNK sent while ring 0 held " << ring0_width() << " member";
+
+  // Healed, the step may only go out once ring 0 spans a majority again.
+  f.net.heal_partition();
+  bool early = false;
+  ASSERT_TRUE(f.run_until([&] {
+    if (froze_or_chunked() && ring0_width() < 3) early = true;
+    return f.resize_settled(4, 1);
+  })) << "migration never settled after the heal";
+  EXPECT_FALSE(early) << "FREEZE/CHUNK sent before ring 0 regained its width";
+  for (int i = 0; i < 40; ++i) {
+    for (NodeId id : f.ids) {
+      EXPECT_TRUE(f.stacks.at(id)->map->get("sk" + std::to_string(i)))
+          << "node " << id << " lost sk" << i;
+    }
+  }
+}
+
 TEST(ReshardDurabilityTest, FullRestartRecoversIntoTheGrownEpoch) {
   const std::string root = ::testing::TempDir() + "/reshard_recover";
   std::filesystem::remove_all(root);
@@ -437,7 +486,7 @@ void run_reshard_sweep(std::uint64_t first_seed, std::uint64_t last_seed,
     const std::string dir = (root / ("seed" + std::to_string(seed))).string();
     testing::ReshardRoundOptions opts;
     opts.fault = fault;
-    testing::DurabilityRoundResult res = testing::run_reshard_round(seed, dir, opts);
+    testing::ChaosRoundResult res = testing::run_reshard_round(seed, dir, opts);
     EXPECT_TRUE(res.violations.empty())
         << "seed " << seed << ":\n" << res.report;
     EXPECT_EQ(res.acked_lost, 0u) << "seed " << seed << " lost acked writes";

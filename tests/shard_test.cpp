@@ -10,7 +10,7 @@
 
 #include "data/shard_router.h"
 #include "net/sim_network.h"
-#include "testing/chaos.h"
+#include "testing/chaos_cluster.h"
 
 namespace raincore {
 namespace {

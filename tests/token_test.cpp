@@ -12,7 +12,6 @@
 namespace raincore {
 namespace {
 
-using session::AttachedMessage;
 using session::Token;
 
 Token sample_token() {
@@ -23,15 +22,11 @@ Token sample_token() {
   t.tbm = true;
   t.merge_target = 4;
   t.ring = {1, 3, 2};
-  AttachedMessage m;
-  m.origin = 3;
-  m.incarnation = 123;
-  m.seq = 55;
-  m.safe = true;
-  m.hops = 2;
-  m.ring_at_attach = 3;
-  m.payload = Slice::copy(Bytes{9, 8, 7});
-  t.batches.push_back(session::AttachedBatch::single(m));
+  session::BatchBuilder b(/*origin=*/3, /*incarnation=*/123, /*base_seq=*/55,
+                         /*safe=*/true);
+  b.add(Slice::copy(Bytes{9, 8, 7}));
+  t.batches.push_back(b.finish(/*ring_at_attach=*/3));
+  t.batches.back().hops = 2;
   return t;
 }
 
