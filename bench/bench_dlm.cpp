@@ -6,83 +6,70 @@
 // the control-plane rates used in E3/E4 (e.g. connection-table updates per
 // second as a function of the token interval).
 #include <cstdio>
-#include <memory>
+#include <cstdlib>
 
 #include "bench/util/gc_harness.h"
-#include "data/lock_manager.h"
-#include "data/replicated_map.h"
+#include "testing/sim_cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
 
 namespace {
 
-struct DataNode {
-  std::unique_ptr<session::SessionNode> session;
-  std::unique_ptr<data::ChannelMux> mux;
-  std::unique_ptr<data::LockManager> locks;
-  std::unique_ptr<data::ReplicatedMap> map;
-};
+/// n nodes whose ChannelMux carries a LockManager (channel 1) and a
+/// ReplicatedMap (channel 2).
+testing::SimCluster dlm_cluster(std::size_t n, Time hold) {
+  session::SessionConfig cfg;
+  cfg.token_hold = hold;
+  testing::SimStack stack = testing::SimStack::channels();
+  stack.lock_channel = 1;
+  stack.map_channel = 2;
+  return testing::SimCluster(testing::node_ids(n), cfg, {}, stack);
+}
 
-struct Cluster {
-  Cluster(std::size_t n, Time hold) {
-    session::SessionConfig cfg;
-    cfg.token_hold = hold;
-    for (NodeId id = 1; id <= n; ++id) ids.push_back(id);
-    cfg.eligible = ids;
-    for (NodeId id : ids) {
-      auto& env = net.add_node(id);
-      DataNode dn;
-      dn.session = std::make_unique<session::SessionNode>(env, cfg);
-      dn.mux = std::make_unique<data::ChannelMux>(*dn.session);
-      dn.locks = std::make_unique<data::LockManager>(*dn.mux, 1);
-      dn.map = std::make_unique<data::ReplicatedMap>(*dn.mux, 2);
-      nodes[id] = std::move(dn);
-    }
-    auto it = nodes.begin();
-    it->second.session->found();
-    for (++it; it != nodes.end(); ++it) it->second.session->join({ids[0]});
-    net.loop().run_for(seconds(5));
+/// Joins every node through node 1; exits if the ring never forms.
+void form_or_exit(testing::SimCluster& c) {
+  if (!c.bootstrap_via_join(seconds(10))) {
+    std::fprintf(stderr, "FAIL: %zu-node ring did not converge\n",
+                 c.ids().size());
+    std::exit(1);
   }
-
-  net::SimNetwork net;
-  std::vector<NodeId> ids;
-  std::map<NodeId, DataNode> nodes;
-};
+}
 
 void lock_latency(std::size_t n, Time hold) {
-  Cluster c(n, hold);
+  testing::SimCluster c = dlm_cluster(n, hold);
+  form_or_exit(c);
   Histogram uncontended, handoff;
 
   // Uncontended: acquire+release a fresh lock, measure request→grant.
   for (int i = 0; i < 30; ++i) {
-    NodeId at = c.ids[i % n];
+    NodeId at = c.ids()[i % n];
     std::string name = "u" + std::to_string(i);
-    Time t0 = c.net.now();
+    Time t0 = c.net().now();
     bool done = false;
-    c.nodes[at].locks->acquire(name, [&](const std::string&) {
-      uncontended.record_time(c.net.now() - t0);
+    c.node(at).locks->acquire(name, [&](const std::string&) {
+      uncontended.record_time(c.net().now() - t0);
       done = true;
     });
-    while (!done) c.net.loop().run_for(millis(5));
-    c.nodes[at].locks->release(name);
-    c.net.loop().run_for(millis(20));
+    while (!done) c.net().loop().run_for(millis(5));
+    c.node(at).locks->release(name);
+    c.net().loop().run_for(millis(20));
   }
 
   // Handoff under contention: all nodes queue on one lock; measure the
   // release→next-grant gap.
   int grants = 0;
   Time last_grant = -1;
-  for (NodeId id : c.ids) {
-    c.nodes[id].locks->acquire("hot", [&, id](const std::string&) {
-      Time now = c.net.now();
+  for (NodeId id : c.ids()) {
+    c.node(id).locks->acquire("hot", [&, id](const std::string&) {
+      Time now = c.net().now();
       if (last_grant >= 0) handoff.record_time(now - last_grant);
       last_grant = now;
       ++grants;
-      c.nodes[id].locks->release("hot");
+      c.node(id).locks->release("hot");
     });
   }
-  c.net.loop().run_for(seconds(10));
+  c.net().loop().run_for(seconds(10));
 
   std::printf("%4zu %10lld ms | %16.2f %16.2f | %8d\n", n,
               static_cast<long long>(hold / kNanosPerMilli),
@@ -90,33 +77,34 @@ void lock_latency(std::size_t n, Time hold) {
 }
 
 void map_throughput(std::size_t n, Time hold) {
-  Cluster c(n, hold);
+  testing::SimCluster c = dlm_cluster(n, hold);
+  form_or_exit(c);
   // Count operations as they are *applied* at node 1 (post-circulation).
   std::uint64_t applied = 0;
-  c.nodes[c.ids[0]].map->set_change_handler(
+  c.node(1).map->set_change_handler(
       [&applied](const std::string&, const std::optional<std::string>&, NodeId) {
         ++applied;
       });
   // Saturate: every node keeps its outbound queue full for 5 sim-seconds.
   const Time dur = seconds(5);
-  Time end = c.net.now() + dur;
+  Time end = c.net().now() + dur;
   std::uint64_t issued = 0;
-  while (c.net.now() < end) {
-    for (NodeId id : c.ids) {
+  while (c.net().now() < end) {
+    for (NodeId id : c.ids()) {
       // Keep the queue topped up to the per-visit flow-control limit.
-      while (c.nodes[id].session->pending_out() < 128) {
-        c.nodes[id].map->put("k" + std::to_string(issued % 512),
-                             std::string(32, 'v'));
+      while (c.node(id).session->pending_out() < 128) {
+        c.node(id).map->put("k" + std::to_string(issued % 512),
+                            std::string(32, 'v'));
         ++issued;
       }
     }
-    c.net.loop().run_for(millis(1));
+    c.net().loop().run_for(millis(1));
   }
   std::printf("%4zu %10lld ms | %14llu %17.0f | %12zu\n", n,
               static_cast<long long>(hold / kNanosPerMilli),
               static_cast<unsigned long long>(applied),
               static_cast<double>(applied) / to_seconds(dur),
-              c.nodes[c.ids[0]].map->size());
+              c.node(1).map->size());
 }
 
 }  // namespace

@@ -58,6 +58,7 @@
 #include "net/sim_network.h"
 #include "net/udp_network.h"
 #include "session/session_mux.h"
+#include "testing/sim_cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
@@ -74,12 +75,6 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
              std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-struct Stack {
-  std::unique_ptr<session::SessionMux> mux;
-  std::unique_ptr<data::ShardedDataPlane> plane;
-  std::unique_ptr<data::ShardedMap> map;
-};
 
 struct ThroughputResult {
   double wall_ms = 0;
@@ -284,38 +279,17 @@ void live_workloads(std::size_t trials, std::size_t msgs_per_node,
 /// serial cost. Open loop: one put per simulated millisecond per node.
 ThroughputResult sim_workload(std::size_t msgs_per_node,
                               const std::string& dir) {
-  net::SimNetwork net;
-  std::vector<NodeId> ids;
-  for (NodeId id = 1; id <= kNodes; ++id) ids.push_back(id);
-  session::SessionConfig scfg;
-  scfg.eligible = ids;
-
-  std::map<NodeId, Stack> stacks;
-  for (NodeId id : ids) {
-    Stack& st = stacks[id];
-    st.mux = std::make_unique<session::SessionMux>(net.add_node(id));
-    storage::StorageConfig cfg;  // empty dir = durability off
-    if (!dir.empty()) {
-      cfg.dir = dir + "/node" + std::to_string(id);
-      cfg.snapshot_every = 4096;
-    }
-    st.plane = std::make_unique<data::ShardedDataPlane>(*st.mux, kShards,
-                                                        scfg, 0, cfg);
-    st.map = std::make_unique<data::ShardedMap>(*st.plane, kChannel);
-    if (!dir.empty() && !st.plane->open_storage()) {
-      std::fprintf(stderr, "FATAL: cannot open stores under %s\n",
-                   cfg.dir.c_str());
-      std::exit(1);
-    }
-    st.plane->found_all();
-  }
-  for (int i = 0; i < 2000; ++i) {
-    net.loop().run_for(millis(10));
-    bool ok = true;
-    for (NodeId id : ids) {
-      if (!stacks[id].plane->all_converged(kNodes)) ok = false;
-    }
-    if (ok) break;
+  testing::SimStack stack = testing::SimStack::sharded(kShards);
+  stack.map_channel = kChannel;
+  stack.storage.dir = dir;  // empty dir = durability off
+  stack.storage.snapshot_every = 4096;
+  testing::SimCluster c(testing::node_ids(kNodes), {}, {}, stack);
+  net::SimNetwork& net = c.net();
+  const std::vector<NodeId>& ids = c.ids();
+  if (!c.bootstrap(seconds(20))) {
+    std::fprintf(stderr, "FATAL: sim cluster under '%s' did not form\n",
+                 dir.c_str());
+    std::exit(1);
   }
 
   // Producers: one put per simulated millisecond per node until each has
@@ -328,11 +302,11 @@ ThroughputResult sim_workload(std::size_t msgs_per_node,
     *tick = [&, id, self] {
       if (sent[id] >= msgs_per_node) return;
       std::uint64_t n = sent[id]++;
-      stacks[id].map->put("n" + std::to_string(id) + ":" + std::to_string(n),
-                          "v" + std::to_string(n));
-      stacks[id].mux->env().schedule(millis(1), *self);
+      c.node(id).smap->put("n" + std::to_string(id) + ":" + std::to_string(n),
+                           "v" + std::to_string(n));
+      c.node(id).mux->env().schedule(millis(1), *self);
     };
-    stacks[id].mux->env().schedule(millis(1), *tick);
+    c.node(id).mux->env().schedule(millis(1), *tick);
     tickers.push_back(std::move(tick));
   }
 
@@ -343,7 +317,7 @@ ThroughputResult sim_workload(std::size_t msgs_per_node,
     net.loop().run_for(millis(20));
     bool done = true;
     for (NodeId id : ids) {
-      if (stacks[id].map->size() < total) done = false;
+      if (c.node(id).smap->size() < total) done = false;
     }
     if (done) break;
   }
@@ -351,10 +325,10 @@ ThroughputResult sim_workload(std::size_t msgs_per_node,
   r.wall_ms = wall_ms_since(t0);
   r.cpu_us_per_put = (process_cpu_us() - cpu0) / static_cast<double>(total);
   std::uint64_t applied = 0;
-  for (NodeId id : ids) applied += stacks[id].map->size();
+  for (NodeId id : ids) applied += c.node(id).smap->size();
   if (!dir.empty()) {
     for (NodeId id : ids) {
-      const metrics::Snapshot snap = stacks[id].plane->storage_snapshot();
+      const metrics::Snapshot snap = c.node(id).plane->storage_snapshot();
       r.fsyncs += counter_total(snap, "storage.wal.fsyncs");
       r.appends += counter_total(snap, "storage.wal.appends");
     }

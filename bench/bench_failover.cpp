@@ -97,9 +97,10 @@ DetectorResult run_detector_round(double loss, bool adaptive,
   if (!cluster.bootstrap()) return r;
   cluster.run_chaos(millis(4000));
   cluster.heal_and_check();
-  r.false_removals = cluster.false_removals();
-  r.true_removals = cluster.true_removals();
-  metrics::Snapshot snap = cluster.metrics_snapshot();
+  const testing::ChaosRoundResult res = cluster.result();
+  r.false_removals = res.false_removals;
+  r.true_removals = res.true_removals;
+  const metrics::Snapshot& snap = res.metrics;
   auto it = snap.histograms.find("session.detection_latency_ns");
   if (it != snap.histograms.end() && it->second.count > 0) {
     r.detections = it->second.count;

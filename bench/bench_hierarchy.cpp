@@ -7,10 +7,11 @@
 // bridged by a leader ring, the critical path is two small rings instead of
 // one big one.
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 
 #include "bench/util/gc_harness.h"
-#include "session/hierarchical.h"
+#include "testing/sim_cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
@@ -54,13 +55,13 @@ Result run_hier(std::size_t n, std::size_t ring_size, Time hold) {
     }
     cfg.rings.push_back(ring);
   }
-  net::SimNetwork net;
-  session::HierarchyHarness h(net, cfg);
+  testing::SimCluster c(cfg);
+  net::SimNetwork& net = c.net();
 
   Histogram latency;
   std::map<std::uint64_t, std::pair<Time, std::size_t>> track;
-  for (NodeId id : h.all_ids()) {
-    h.node(id).set_deliver_handler([&, n](NodeId, const Slice& p) {
+  for (NodeId id : c.ids()) {
+    c.node(id).hier->set_deliver_handler([&, n](NodeId, const Slice& p) {
       if (p.size() < 8) return;
       ByteReader r(p);
       std::uint64_t mid = r.u64();
@@ -68,31 +69,22 @@ Result run_hier(std::size_t n, std::size_t ring_size, Time hold) {
       if (++t.second == n) latency.record_time(net.now() - t.first);
     });
   }
-  h.start_all();
-  // Converge both levels.
-  for (int i = 0; i < 2000; ++i) {
-    net.loop().run_for(millis(10));
-    bool ok = true;
-    std::size_t leaders = 0;
-    for (NodeId id : h.all_ids()) {
-      if (h.node(id).local_view().members.empty()) ok = false;
-      if (h.node(id).is_leader()) {
-        ++leaders;
-        if (h.node(id).global_view().members.size() != cfg.rings.size()) ok = false;
-      }
-    }
-    if (ok && leaders == cfg.rings.size()) break;
+  // Converge both levels: every local ring, and the leaders' global ring.
+  if (!c.bootstrap(seconds(40))) {
+    std::fprintf(stderr, "FAIL: %zu-node hierarchy did not converge\n", n);
+    std::exit(1);
   }
 
   // Both rings share one transport per node — count it once.
   std::map<NodeId, std::uint64_t> ts_base;
-  for (NodeId id : h.all_ids()) {
-    ts_base[id] = h.node(id).mux().transport().task_switches().value();
-  }
+  auto task_switches = [&](NodeId id) {
+    return c.node(id).hier->mux().transport().task_switches().value();
+  };
+  for (NodeId id : c.ids()) ts_base[id] = task_switches(id);
   Time t0 = net.now();
 
   std::uint64_t mid = 1;
-  auto ids = h.all_ids();
+  const std::vector<NodeId>& ids = c.ids();
   for (int i = 0; i < 60; ++i) {
     NodeId from = ids[i % ids.size()];
     ByteWriter w(64);
@@ -100,15 +92,14 @@ Result run_hier(std::size_t n, std::size_t ring_size, Time hold) {
     for (std::size_t b = w.size(); b < 64; ++b) w.u8(0);
     track[mid] = {net.now(), 0};
     ++mid;
-    h.node(from).multicast(w.take());
+    c.node(from).hier->multicast(w.take());
     net.loop().run_for(millis(40));
   }
   net.loop().run_for(seconds(3));
 
   double ts_sum = 0;
-  for (NodeId id : h.all_ids()) {
-    ts_sum += static_cast<double>(
-        h.node(id).mux().transport().task_switches().value() - ts_base[id]);
+  for (NodeId id : c.ids()) {
+    ts_sum += static_cast<double>(task_switches(id) - ts_base[id]);
   }
   Result r;
   r.p50_ms = latency.percentile(0.5) / 1e6;

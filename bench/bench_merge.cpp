@@ -8,11 +8,11 @@
 #include <cstdio>
 
 #include "bench/util/gc_harness.h"
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
-using raincore::testing::TestCluster;
+using raincore::testing::SimCluster;
 
 namespace {
 
@@ -22,11 +22,9 @@ Time run_merge(std::size_t n_nodes, std::size_t n_groups, Time bodyodor,
   ncfg.seed = seed;
   session::SessionConfig scfg;
   scfg.bodyodor_interval = bodyodor;
-  std::vector<NodeId> ids;
-  for (NodeId i = 1; i <= n_nodes; ++i) ids.push_back(i);
-  TestCluster c(ids, scfg, ncfg);
-  c.bootstrap_via_join();
-  if (!c.run_until_converged(ids, seconds(30))) return -1;
+  SimCluster c(testing::node_ids(n_nodes), scfg, ncfg);
+  const std::vector<NodeId>& ids = c.ids();
+  if (!c.bootstrap_via_join(seconds(30))) return -1;
 
   // Partition into n_groups contiguous slices and let them stabilise.
   std::vector<std::vector<NodeId>> groups(n_groups);
@@ -39,9 +37,7 @@ Time run_merge(std::size_t n_nodes, std::size_t n_groups, Time bodyodor,
   // Heal and measure time to full agreement.
   c.net().heal_partition();
   Time start = c.net().now();
-  Time deadline = start + seconds(120);
-  while (c.net().now() < deadline && !c.converged(ids)) c.run(millis(10));
-  if (!c.converged(ids)) return -1;
+  if (!c.run_until_converged(ids, seconds(120))) return -1;
   return c.net().now() - start;
 }
 

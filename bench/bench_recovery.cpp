@@ -9,8 +9,10 @@
 // measure the time until the survivors again agree on the shrunken
 // membership with a circulating token, and verify regeneration uniqueness.
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench/util/gc_harness.h"
+#include "testing/sim_cluster.h"
 
 using namespace raincore;
 using namespace raincore::bench;
@@ -29,8 +31,11 @@ Trial run_trial(std::size_t n, Time hungry_timeout, std::uint64_t seed) {
   scfg.hungry_timeout = hungry_timeout;
   net::SimNetConfig ncfg;
   ncfg.seed = seed;
-  GcCluster c(Stack::kRaincore, n, scfg, ncfg);
-  c.start();
+  testing::SimCluster c(testing::node_ids(n), scfg, ncfg);
+  if (!c.bootstrap_via_join(seconds(30))) {
+    std::fprintf(stderr, "FAIL: %zu-node ring did not converge\n", n);
+    std::exit(1);
+  }
   // Let it run a pseudo-random extra time so the token is at a random node.
   c.run(millis(1 + static_cast<Time>(seed % 97)));
 
@@ -40,25 +45,16 @@ Trial run_trial(std::size_t n, Time hungry_timeout, std::uint64_t seed) {
     if (c.session(id).holds_token()) victim = id;
   }
   if (victim == 0) victim = c.ids()[seed % n];
-  c.net().set_node_up(victim, false);
-  c.session(victim).stop();
+  c.crash(victim);
   Time start = c.net().now();
 
-  auto converged = [&] {
-    for (NodeId id : c.ids()) {
-      if (id == victim) continue;
-      if (c.session(id).view().members.size() != n - 1) return false;
-      if (c.session(id).view().has(victim)) return false;
-    }
-    return true;
-  };
+  std::vector<NodeId> survivors = c.ids();
+  std::erase(survivors, victim);
   Time deadline = start + seconds(30);
-  while (c.net().now() < deadline && !converged()) {
-    c.net().loop().run_for(millis(1));
-  }
+  while (c.net().now() < deadline && !c.converged(survivors)) c.run(millis(1));
 
   Trial t;
-  t.ok = converged();
+  t.ok = c.converged(survivors);
   t.convergence = c.net().now() - start;
   t.regenerations = 0;
   for (NodeId id : c.ids()) {

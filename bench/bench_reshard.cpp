@@ -91,18 +91,15 @@ int main(int argc, char** argv) {
   session::SessionConfig scfg;
   scfg.transport.adaptive = true;
 
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= kNodes; ++i) {
-    ids.push_back(static_cast<NodeId>(i));
-  }
   testing::ChaosCluster cluster(
-      ids, ccfg, scfg, ncfg,
+      testing::node_ids(kNodes), ccfg, scfg, ncfg,
       testing::ChaosStack::durable_plane(root.string(), dcfg));
   bool booted = cluster.bootstrap();
   if (booted) {
     cluster.run_chaos(kRunFor);
     cluster.heal_and_check(millis(30000));
   }
+  const testing::ChaosRoundResult res = cluster.result();
 
   const auto& steady = cluster.ack_latencies_steady_ms();
   const auto& mig = cluster.ack_latencies_migration_ms();
@@ -121,14 +118,14 @@ int main(int argc, char** argv) {
               kNodes, kShardsFrom, kShardsTo, to_millis(kResizeAt),
               to_millis(kRunFor));
   std::printf("acked ops: %llu  (steady %zu, migration-window %zu)\n",
-              static_cast<unsigned long long>(cluster.acked_ops()),
+              static_cast<unsigned long long>(res.acked_ops),
               steady.size(), mig.size());
   std::printf("voided (timed-out) ops: %llu\n",
-              static_cast<unsigned long long>(cluster.voided_ops()));
+              static_cast<unsigned long long>(res.voided_ops));
   std::printf("migration window: %.1f ms (epoch %llu, final K=%zu)\n",
               window_ms,
-              static_cast<unsigned long long>(cluster.final_epoch()),
-              cluster.final_shard_count());
+              static_cast<unsigned long long>(res.final_epoch),
+              res.final_shards);
   std::printf("\n%18s | %10s %10s\n", "population", "p50 (ms)", "p99 (ms)");
   std::printf("-----------------------------------------\n");
   std::printf("%18s | %10.2f %10.2f\n", "steady-state", steady_p50,
@@ -146,25 +143,25 @@ int main(int argc, char** argv) {
   report.param("blip_bound_factor", kBlipFactor);
   JsonValue row = bench::JsonReport::row("resize-4-to-8");
   row.set("acked_ops",
-          JsonValue::number(static_cast<double>(cluster.acked_ops())));
+          JsonValue::number(static_cast<double>(res.acked_ops)));
   row.set("voided_ops",
-          JsonValue::number(static_cast<double>(cluster.voided_ops())));
+          JsonValue::number(static_cast<double>(res.voided_ops)));
   row.set("acked_lost",
-          JsonValue::number(static_cast<double>(cluster.acked_lost())));
+          JsonValue::number(static_cast<double>(res.acked_lost)));
   row.set("phantom_resurrections",
           JsonValue::number(
-              static_cast<double>(cluster.phantom_resurrections())));
+              static_cast<double>(res.phantom_resurrections)));
   row.set("migration_window_ms", JsonValue::number(window_ms));
   row.set("final_epoch",
-          JsonValue::number(static_cast<double>(cluster.final_epoch())));
+          JsonValue::number(static_cast<double>(res.final_epoch)));
   row.set("final_shards",
-          JsonValue::number(static_cast<double>(cluster.final_shard_count())));
+          JsonValue::number(static_cast<double>(res.final_shards)));
   row.set("steady_p50_ms", JsonValue::number(steady_p50));
   row.set("steady_p99_ms", JsonValue::number(steady_p99));
   row.set("migration_p50_ms", JsonValue::number(mig_p50));
   row.set("migration_p99_ms", JsonValue::number(mig_p99));
   row.set("p99_blip_factor", JsonValue::number(blip));
-  row.set("resize_completed", JsonValue::boolean(cluster.resize_completed()));
+  row.set("resize_completed", JsonValue::boolean(res.resize_completed));
   report.add(std::move(row));
   report.set_metrics(cluster.metrics_snapshot());
   bench::maybe_write_report(report, bench::json_path_from_args(argc, argv));
@@ -177,9 +174,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: cluster failed to bootstrap\n");
     fail = true;
   }
-  if (!cluster.resize_completed()) {
+  if (!res.resize_completed) {
     std::fprintf(stderr, "FAIL: resize did not complete (final K=%zu)\n",
-                 cluster.final_shard_count());
+                 res.final_shards);
     fail = true;
   }
   if (!cluster.violations().empty()) {
@@ -188,19 +185,19 @@ int main(int argc, char** argv) {
                  cluster.failure_report().c_str());
     fail = true;
   }
-  if (cluster.acked_lost() != 0 || cluster.phantom_resurrections() != 0) {
+  if (res.acked_lost != 0 || res.phantom_resurrections != 0) {
     std::fprintf(stderr,
                  "FAIL: %llu acked writes lost, %llu phantom resurrections\n",
-                 static_cast<unsigned long long>(cluster.acked_lost()),
+                 static_cast<unsigned long long>(res.acked_lost),
                  static_cast<unsigned long long>(
-                     cluster.phantom_resurrections()));
+                     res.phantom_resurrections));
     fail = true;
   }
-  if (cluster.voided_ops() != 0) {
+  if (res.voided_ops != 0) {
     std::fprintf(stderr,
                  "FAIL: %llu client ops timed out during a fault-free "
                  "resize\n",
-                 static_cast<unsigned long long>(cluster.voided_ops()));
+                 static_cast<unsigned long long>(res.voided_ops));
     fail = true;
   }
   if (mig.empty()) {

@@ -30,6 +30,7 @@
 //   - batched K=4 throughput ≥ 10× the committed pre-batching baseline
 //     (BENCH_PR6_shard.json) at equal-or-better p95.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -37,9 +38,7 @@
 
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
-#include "data/shard_router.h"
-#include "net/sim_network.h"
-#include "session/session_mux.h"
+#include "testing/sim_cluster.h"
 
 using namespace raincore;
 using raincore::bench::print_banner;
@@ -85,23 +84,15 @@ struct Result {
   metrics::Snapshot node1;
 };
 
-struct NodeStack {
-  std::unique_ptr<session::SessionMux> mux;
-  std::unique_ptr<data::ShardedDataPlane> plane;
-};
-
 Result run_shards(std::size_t k_shards, const Mode& mode) {
-  net::SimNetwork net;
-  std::vector<NodeId> ids;
-  for (NodeId id = 1; id <= kNodes; ++id) ids.push_back(id);
-
   session::SessionConfig scfg;
   scfg.token_hold = kTokenHold;
   scfg.max_batch_msgs = mode.max_batch_msgs;
   scfg.max_batch_bytes = mode.max_batch_bytes;
-  scfg.eligible = ids;
-
-  std::map<NodeId, NodeStack> stacks;
+  testing::SimCluster c(testing::node_ids(kNodes), scfg, {},
+                        testing::SimStack::sharded(k_shards));
+  net::SimNetwork& net = c.net();
+  const std::vector<NodeId>& ids = c.ids();
   std::map<NodeId, std::uint64_t> delivered;
   Histogram latency;
   // Only messages sent at/after window_open count — a delivery handler that
@@ -111,12 +102,8 @@ Result run_shards(std::size_t k_shards, const Mode& mode) {
   Time last_counted = -1;
 
   for (NodeId id : ids) {
-    NodeStack& st = stacks[id];
-    st.mux = std::make_unique<session::SessionMux>(net.add_node(id));
-    st.plane =
-        std::make_unique<data::ShardedDataPlane>(*st.mux, k_shards, scfg);
     for (std::size_t s = 0; s < k_shards; ++s) {
-      st.plane->channels(s).subscribe(
+      c.node(id).plane->channels(s).subscribe(
           kBenchChannel, [&, id](NodeId, const Slice& p, session::Ordering) {
             if (window_open < 0 || p.size() < 8) return;
             ByteReader r(p);
@@ -129,14 +116,9 @@ Result run_shards(std::size_t k_shards, const Mode& mode) {
     }
   }
 
-  for (NodeId id : ids) stacks[id].plane->found_all();
-  for (int i = 0; i < 3000; ++i) {
-    net.loop().run_for(millis(10));
-    bool ok = true;
-    for (NodeId id : ids) {
-      if (!stacks[id].plane->all_converged(kNodes)) ok = false;
-    }
-    if (ok) break;
+  if (!c.bootstrap(seconds(30))) {
+    std::fprintf(stderr, "FAIL: %zu shard rings did not converge\n", k_shards);
+    std::exit(1);
   }
 
   // Producers: each node injects `burst` keyed messages per kInjectEvery;
@@ -154,7 +136,7 @@ Result run_shards(std::size_t k_shards, const Mode& mode) {
     std::function<void()>* self = tick.get();
     *tick = [&, id, self] {
       if (!producing) return;
-      data::ShardedDataPlane& plane = *stacks[id].plane;
+      data::ShardedDataPlane& plane = *c.node(id).plane;
       for (int b = 0; b < mode.burst; ++b) {
         std::string key =
             "n" + std::to_string(id) + ":" + std::to_string(seq[id]++);
@@ -168,9 +150,9 @@ Result run_shards(std::size_t k_shards, const Mode& mode) {
           plane.channels(s).send(kBenchChannel, w.take());
         }
       }
-      stacks[id].mux->env().schedule(kInjectEvery, *self);
+      c.node(id).mux->env().schedule(kInjectEvery, *self);
     };
-    stacks[id].mux->env().schedule(kInjectEvery, *tick);
+    c.node(id).mux->env().schedule(kInjectEvery, *tick);
     tickers.push_back(std::move(tick));
   }
 
@@ -207,7 +189,7 @@ Result run_shards(std::size_t k_shards, const Mode& mode) {
   r.throughput = static_cast<double>(total) / kNodes / to_seconds(elapsed);
   r.p50_ms = latency.percentile(0.5) / 1e6;
   r.p95_ms = latency.percentile(0.95) / 1e6;
-  r.node1 = stacks[1].mux->metrics_snapshot();
+  r.node1 = c.node(1).mux->metrics_snapshot();
   return r;
 }
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,7 +15,7 @@
 #include "baseline/two_phase_gc.h"
 #include "common/stats.h"
 #include "net/sim_network.h"
-#include "session/session_node.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore::bench {
 
@@ -31,77 +32,70 @@ inline const char* stack_name(Stack s) {
 }
 
 /// A cluster of N nodes all running the chosen stack, with uniform
-/// multicast workload helpers and metric collection.
+/// multicast workload helpers and metric collection. Raincore runs as a
+/// SimCluster ring; the baselines run on a plain SimNetwork.
 class GcCluster {
  public:
   GcCluster(Stack stack, std::size_t n, session::SessionConfig scfg = {},
             net::SimNetConfig ncfg = {})
-      : stack_(stack), net_(ncfg) {
-    for (NodeId id = 1; id <= n; ++id) ids_.push_back(id);
-    scfg.eligible = ids_;
-    for (NodeId id : ids_) {
-      auto& env = net_.add_node(id);
-      Member m;
-      if (stack == Stack::kRaincore) {
-        m.session = std::make_unique<session::SessionNode>(env, scfg);
-        m.session->set_deliver_handler(
+      : ids_(testing::node_ids(n)) {
+    for (NodeId id : ids_) ts_baseline_[id] = 0;
+    if (stack == Stack::kRaincore) {
+      sim_ = std::make_unique<testing::SimCluster>(ids_, scfg, ncfg);
+      for (NodeId id : ids_) {
+        sim_->session(id).set_deliver_handler(
             [this, id](NodeId origin, const Slice& payload, session::Ordering) {
               on_deliver(id, origin, payload);
             });
-      } else {
-        switch (stack) {
-          case Stack::kBroadcast:
-            m.gc = std::make_unique<baseline::BroadcastGC>(env, ids_);
-            break;
-          case Stack::kSequencer:
-            m.gc = std::make_unique<baseline::SequencerGC>(env, ids_);
-            break;
-          default:
-            m.gc = std::make_unique<baseline::TwoPhaseGC>(env, ids_);
-        }
-        m.gc->set_deliver_handler(
-            [this, id](NodeId origin, const Slice& payload) {
-              on_deliver(id, origin, payload);
-            });
       }
-      members_[id] = std::move(m);
+      return;
+    }
+    base_net_ = std::make_unique<net::SimNetwork>(ncfg);
+    for (NodeId id : ids_) {
+      auto& env = base_net_->add_node(id);
+      std::unique_ptr<baseline::GroupComm>& gc = gcs_[id];
+      switch (stack) {
+        case Stack::kBroadcast:
+          gc = std::make_unique<baseline::BroadcastGC>(env, ids_);
+          break;
+        case Stack::kSequencer:
+          gc = std::make_unique<baseline::SequencerGC>(env, ids_);
+          break;
+        default:
+          gc = std::make_unique<baseline::TwoPhaseGC>(env, ids_);
+      }
+      gc->set_deliver_handler([this, id](NodeId origin, const Slice& payload) {
+        on_deliver(id, origin, payload);
+      });
     }
   }
 
-  /// Boots the cluster. For Raincore this forms the ring and waits for
-  /// convergence; baselines are static and start instantly.
+  /// Boots the cluster. For Raincore this forms the ring by join and exits
+  /// the process if it does not converge; baselines are static and start
+  /// instantly.
   void start() {
-    if (stack_ != Stack::kRaincore) return;
-    auto it = members_.begin();
-    it->second.session->found();
-    NodeId seed = it->first;
-    for (++it; it != members_.end(); ++it) it->second.session->join({seed});
-    // Converge.
-    for (int i = 0; i < 3000; ++i) {
-      net_.loop().run_for(millis(10));
-      bool ok = true;
-      for (auto& [id, m] : members_) {
-        if (m.session->view().members.size() != ids_.size()) ok = false;
-      }
-      if (ok) return;
+    if (!sim_) return;
+    if (!sim_->bootstrap_via_join(seconds(30))) {
+      std::fprintf(stderr, "FAIL: %zu-node Raincore ring did not converge\n",
+                   ids_.size());
+      std::exit(1);
     }
   }
 
-  void run(Time d) { net_.loop().run_for(d); }
+  void run(Time d) { net().loop().run_for(d); }
 
   /// Multicasts a payload of `bytes` bytes stamped with the submit time.
   void multicast(NodeId from, std::size_t bytes) {
     ByteWriter w(bytes + 16);
     w.u64(next_msg_id_);
-    w.i64(net_.now());
+    w.i64(net().now());
     for (std::size_t i = w.size(); i < bytes; ++i) w.u8(0xab);
-    submit_time_[next_msg_id_] = net_.now();
+    submit_time_[next_msg_id_] = net().now();
     ++next_msg_id_;
-    Member& m = members_.at(from);
-    if (m.session) {
-      m.session->multicast(w.take());
+    if (sim_) {
+      sim_->session(from).multicast(w.take());
     } else {
-      m.gc->multicast(w.take());
+      gcs_.at(from)->multicast(w.take());
     }
   }
 
@@ -116,7 +110,7 @@ class GcCluster {
       ++n;
       if (n == ids_.size()) {
         // Message has reached every member: record full-delivery latency.
-        latency_.record_time(net_.now() - sent);
+        latency_.record_time(net().now() - sent);
         deliver_count_.erase(id);
         submit_time_.erase(id);
       }
@@ -125,46 +119,38 @@ class GcCluster {
 
   /// Resets all measurement state (call after warmup).
   void reset_metrics() {
-    net_.reset_stats();
+    net().reset_stats();
     deliveries_ = 0;
     latency_.reset();
-    for (auto& [id, m] : members_) {
-      m.ts_baseline = task_switches_of(id);
-    }
+    for (NodeId id : ids_) ts_baseline_[id] = task_switches_of(id);
   }
 
   std::uint64_t task_switches_of(NodeId id) const {
-    const Member& m = members_.at(id);
-    return m.session ? m.session->transport().task_switches().value()
-                     : m.gc->task_switches().value();
+    return sim_ ? sim_->session(id).transport().task_switches().value()
+                : gcs_.at(id)->task_switches().value();
   }
 
   /// Mean per-node task switches since reset_metrics().
   double mean_task_switches() const {
     double sum = 0;
-    for (auto& [id, m] : members_) {
-      sum += static_cast<double>(task_switches_of(id) - m.ts_baseline);
+    for (NodeId id : ids_) {
+      sum += static_cast<double>(task_switches_of(id) - ts_baseline_.at(id));
     }
-    return sum / static_cast<double>(members_.size());
+    return sum / static_cast<double>(ids_.size());
   }
 
-  net::SimNetwork& net() { return net_; }
+  net::SimNetwork& net() { return sim_ ? sim_->net() : *base_net_; }
   const std::vector<NodeId>& ids() const { return ids_; }
   std::uint64_t deliveries() const { return deliveries_; }
   const Histogram& latency() const { return latency_; }
-  session::SessionNode& session(NodeId id) { return *members_.at(id).session; }
+  session::SessionNode& session(NodeId id) { return sim_->session(id); }
 
  private:
-  struct Member {
-    std::unique_ptr<session::SessionNode> session;  // raincore
-    std::unique_ptr<baseline::GroupComm> gc;        // baselines
-    std::uint64_t ts_baseline = 0;
-  };
-
-  Stack stack_;
-  net::SimNetwork net_;
   std::vector<NodeId> ids_;
-  std::map<NodeId, Member> members_;
+  std::unique_ptr<testing::SimCluster> sim_;    // raincore
+  std::unique_ptr<net::SimNetwork> base_net_;   // baselines
+  std::map<NodeId, std::unique_ptr<baseline::GroupComm>> gcs_;
+  std::map<NodeId, std::uint64_t> ts_baseline_;
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t deliveries_ = 0;
   std::map<std::uint64_t, std::size_t> deliver_count_;

@@ -4,6 +4,8 @@
 //
 // Run: ./hierarchy_demo
 #include <cstdio>
+#include <map>
+#include <memory>
 
 #include "net/sim_network.h"
 #include "session/hierarchical.h"
@@ -16,10 +18,16 @@ int main() {
   cfg.rings = {{1, 2, 3, 4}, {11, 12, 13, 14}, {21, 22, 23, 24}};
   cfg.session.token_hold = millis(5);
 
+  // One HierarchicalNode per member, each on its own simulated endpoint.
   net::SimNetwork net;
-  HierarchyHarness h(net, cfg);
-  for (NodeId id : h.all_ids()) {
-    h.node(id).set_deliver_handler([id](NodeId origin, const Slice& p) {
+  std::map<NodeId, std::unique_ptr<HierarchicalNode>> nodes;
+  for (const auto& ring : cfg.rings) {
+    for (NodeId id : ring) {
+      nodes[id] = std::make_unique<HierarchicalNode>(net.add_node(id), cfg);
+    }
+  }
+  for (auto& [id, node] : nodes) {
+    node->set_deliver_handler([id](NodeId origin, const Slice& p) {
       if (id % 10 == 2) {  // print from one member per ring only
         std::printf("  node %2u <- %2u: %.*s\n", id, origin,
                     static_cast<int>(p.size()), p.data());
@@ -28,33 +36,33 @@ int main() {
   }
 
   std::printf("== starting 12 nodes in 3 rings of 4 ==\n");
-  h.start_all();
+  for (auto& [id, node] : nodes) node->start();
   net.loop().run_for(seconds(5));
-  for (NodeId id : h.all_ids()) {
-    if (h.node(id).is_leader()) {
+  for (auto& [id, node] : nodes) {
+    if (node->is_leader()) {
       std::printf("  ring leader: node %u (global ring size %zu)\n", id,
-                  h.node(id).global_view().members.size());
+                  node->global_view().members.size());
     }
   }
 
   std::printf("== cross-ring multicast from node 13 ==\n");
   std::string m1 = "hello from ring 1";
-  h.node(13).multicast(Bytes(m1.begin(), m1.end()));
+  nodes.at(13)->multicast(Bytes(m1.begin(), m1.end()));
   net.loop().run_for(seconds(2));
 
   std::printf("== killing ring 0's leader (node 1) ==\n");
   net.set_node_up(1, false);
-  h.node(1).stop();
+  nodes.at(1)->stop();
   net.loop().run_for(seconds(8));
-  for (NodeId id : h.all_ids()) {
-    if (h.node(id).is_leader()) {
+  for (auto& [id, node] : nodes) {
+    if (node->is_leader()) {
       std::printf("  ring leader now: node %u\n", id);
     }
   }
 
   std::printf("== cross-ring multicast still works ==\n");
   std::string m2 = "after leader failover";
-  h.node(22).multicast(Bytes(m2.begin(), m2.end()));
+  nodes.at(22)->multicast(Bytes(m2.begin(), m2.end()));
   net.loop().run_for(seconds(3));
 
   std::printf("done\n");

@@ -173,24 +173,4 @@ void HierarchicalNode::on_local_view(const View& v) {
   }
 }
 
-HierarchyHarness::HierarchyHarness(net::SimNetwork& net, HierarchyConfig cfg)
-    : cfg_(std::move(cfg)) {
-  for (const auto& ring : cfg_.rings) {
-    for (NodeId n : ring) {
-      auto& env = net.add_node(n);
-      nodes_[n] = std::make_unique<HierarchicalNode>(env, cfg_);
-    }
-  }
-}
-
-void HierarchyHarness::start_all() {
-  for (auto& [id, n] : nodes_) n->start();
-}
-
-std::vector<NodeId> HierarchyHarness::all_ids() const {
-  std::vector<NodeId> out;
-  for (auto& [id, n] : nodes_) out.push_back(id);
-  return out;
-}
-
 }  // namespace raincore::session

@@ -20,10 +20,8 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <set>
 
-#include "net/sim_network.h"
 #include "session/session_mux.h"
 
 namespace raincore::session {
@@ -138,22 +136,6 @@ class HierarchicalNode {
   std::map<NodeId, OriginSeen> seen_;
   metrics::Registry metrics_;
   Stats stats_{metrics_};
-};
-
-/// Convenience: builds envs for all nodes of a hierarchy on one simulated
-/// network and wires the HierarchicalNodes together (used by tests/benches).
-class HierarchyHarness {
- public:
-  HierarchyHarness(net::SimNetwork& net, HierarchyConfig cfg);
-
-  void start_all();
-  HierarchicalNode& node(NodeId id) { return *nodes_.at(id); }
-  std::vector<NodeId> all_ids() const;
-  const HierarchyConfig& config() const { return cfg_; }
-
- private:
-  HierarchyConfig cfg_;
-  std::map<NodeId, std::unique_ptr<HierarchicalNode>> nodes_;
 };
 
 }  // namespace raincore::session

@@ -11,7 +11,8 @@
 // The engine only drives the network and the up/down bookkeeping; the
 // protocol stack reacts through hooks. ChaosCluster (testing/
 // chaos_cluster.h) is the harness that pairs it with live stacks and the
-// invariant checkers; TestCluster and the benches use it directly.
+// invariant checkers; SimCluster::enable_chaos hands it to any simulated
+// cluster.
 #pragma once
 
 #include <functional>
@@ -79,7 +80,7 @@ struct FaultEvent {
 /// Injects a randomized, seed-replayable fault schedule into a SimNetwork.
 /// The engine owns node up/down state and link overrides while running;
 /// crash/restart of the protocol stack is delegated to the hooks so the
-/// engine works with any harness (TestCluster, ChaosCluster, benches).
+/// engine works with any harness (SimCluster, ChaosCluster, benches).
 class ChaosEngine {
  public:
   using NodeHook = std::function<void(NodeId)>;

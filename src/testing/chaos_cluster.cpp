@@ -46,6 +46,37 @@ std::vector<NodeId> sorted(std::vector<NodeId> v) {
   return v;
 }
 
+/// The SimCluster stack behind each configuration. Channel numbers and the
+/// VIP pool are part of the configuration's seeded replay.
+SimStack sim_stack(const ChaosStack& stack, std::size_t n_nodes) {
+  switch (stack.kind) {
+    case Kind::kApp: {
+      SimStack s = SimStack::channels();
+      s.map_channel = kMapChannel;
+      s.lock_channel = kLockChannel;
+      s.log_channel = kAppChannel;
+      apps::VipConfig vcfg;
+      for (std::size_t i = 0; i < n_nodes + 2; ++i) {
+        vcfg.pool.push_back("10.1.0." + std::to_string(i + 1));
+      }
+      vcfg.channel = kVipChannel;
+      s.vips = vcfg;
+      return s;
+    }
+    case Kind::kMultiRing:
+      return SimStack::multi_ring(stack.n_rings);
+    case Kind::kDurable: {
+      SimStack s = SimStack::sharded(stack.durable.n_shards);
+      s.map_channel = kShardMapChannel;
+      s.lock_channel = kShardLockChannel;
+      s.reshard_from = stack.durable.n_shards;
+      s.storage = stack.durable.storage;
+      return s;
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 // --- construction and fault hooks -------------------------------------------
@@ -53,19 +84,34 @@ std::vector<NodeId> sorted(std::vector<NodeId> v) {
 ChaosCluster::ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
                            session::SessionConfig session_cfg,
                            net::SimNetConfig net_cfg, ChaosStack stack)
-    : net_(net_cfg),
-      session_cfg_(std::move(session_cfg)),
+    : token_hold_(session_cfg.token_hold),
       chaos_cfg_(chaos_cfg),
       stack_(std::move(stack)),
+      sim_(ids, std::move(session_cfg), net_cfg,
+           sim_stack(stack_, ids.size())),
       ids_(std::move(ids)) {
-  if (session_cfg_.eligible.empty()) session_cfg_.eligible = ids_;
   if (is(Kind::kDurable)) chaos_cfg_.n_shards = stack_.durable.n_shards;
-  // The public side: ARPs from a disconnected node never reach the segment.
-  subnet_.set_reachability([this](NodeId n) { return net_.node_up(n); });
   const Shape& shape = kShapes[static_cast<std::size_t>(stack_.kind)];
   Rng setup_rng(chaos_cfg_.seed ^ shape.setup_salt);
-  for (NodeId id : ids_) build_node(id, setup_rng);
-  engine_ = std::make_unique<ChaosEngine>(net_, ids_, chaos_cfg_);
+  for (NodeId id : ids_) {
+    Node& n = nodes_[id];
+    n.traffic_rng = setup_rng.fork();
+    n.counters.assign(sim_.rings(id).size(), 0);
+    if (is(Kind::kApp)) {
+      sim_.session(id).set_removal_handler(
+          [this](NodeId removed) { on_removal_observed(removed); });
+    } else if (is(Kind::kDurable)) {
+      // Shard-aware ack tracking: during a migration window a write can
+      // bounce and apply on a different shard than it routed to at issue
+      // time, and the durable-LSN gate must watch the store it landed in.
+      sim_.node(id).smap->set_shard_change_handler(
+          [this, id](std::size_t shard, const std::string& key,
+                     const std::optional<std::string>& value, NodeId origin) {
+            on_map_change(id, shard, key, value, origin);
+          });
+    }
+  }
+  engine_ = &sim_.enable_chaos(chaos_cfg_);
   engine_->set_crash_hook([this](NodeId id) { on_crash(id); });
   engine_->set_restart_hook([this](NodeId id) { on_restart(id); });
   if (is(Kind::kDurable)) {
@@ -77,162 +123,52 @@ ChaosCluster::ChaosCluster(std::vector<NodeId> ids, ChaosConfig chaos_cfg,
 
 ChaosCluster::~ChaosCluster() {
   traffic_on_ = false;
-  if (sweep_timer_) net_.loop().cancel(sweep_timer_);
-  if (resize_timer_) net_.loop().cancel(resize_timer_);
-  if (watch_timer_) net_.loop().cancel(watch_timer_);
+  net::EventLoop& loop = sim_.net().loop();
+  if (sweep_timer_) loop.cancel(sweep_timer_);
+  if (resize_timer_) loop.cancel(resize_timer_);
+  if (watch_timer_) loop.cancel(watch_timer_);
   for (auto& [id, n] : nodes_) {
-    if (n->traffic_timer) net_.loop().cancel(n->traffic_timer);
+    if (n.traffic_timer) loop.cancel(n.traffic_timer);
   }
-}
-
-void ChaosCluster::build_node(NodeId id, Rng& setup_rng) {
-  auto& env = net_.add_node(id);
-  auto n = std::make_unique<Node>();
-  Node* np = n.get();
-  auto log_ring = [np](std::size_t r) {
-    return [np, r](NodeId origin, const Slice& payload, session::Ordering) {
-      np->logs[r].push_back(
-          {np->epoch, origin, std::string(payload.begin(), payload.end())});
-    };
-  };
-  switch (stack_.kind) {
-    case Kind::kApp: {
-      n->session = std::make_unique<session::SessionNode>(env, session_cfg_);
-      n->chan = std::make_unique<data::ChannelMux>(*n->session);
-      n->map = std::make_unique<data::ReplicatedMap>(*n->chan, kMapChannel);
-      n->locks = std::make_unique<data::LockManager>(*n->chan, kLockChannel);
-      apps::VipConfig vcfg;
-      for (std::size_t i = 0; i < ids_.size() + 2; ++i) {
-        vcfg.pool.push_back("10.1.0." + std::to_string(i + 1));
-      }
-      vcfg.channel = kVipChannel;
-      n->vips = std::make_unique<apps::VipManager>(*n->chan, subnet_, vcfg);
-      n->traffic_rng = setup_rng.fork();
-      n->rings.push_back(n->session.get());
-      n->chan->subscribe(kAppChannel, log_ring(0));
-      n->session->set_removal_handler(
-          [this](NodeId removed) { on_removal_observed(removed); });
-      break;
-    }
-    case Kind::kMultiRing: {
-      n->mux =
-          std::make_unique<session::SessionMux>(env, session_cfg_.transport);
-      n->traffic_rng = setup_rng.fork();
-      for (std::size_t r = 0; r < stack_.n_rings; ++r) {
-        auto& ring = n->mux->create_ring(static_cast<transport::MuxGroup>(r),
-                                         session_cfg_);
-        n->rings.push_back(&ring);
-        ring.set_deliver_handler(log_ring(r));
-      }
-      break;
-    }
-    case Kind::kDurable: {
-      const DurabilityConfig& dcfg = stack_.durable;
-      n->mux =
-          std::make_unique<session::SessionMux>(env, session_cfg_.transport);
-      storage::StorageConfig scfg = dcfg.storage;
-      scfg.dir = stack_.root_dir + "/node" + std::to_string(id);
-      n->plane = std::make_unique<data::ShardedDataPlane>(
-          *n->mux, dcfg.n_shards, session_cfg_, 0, scfg);
-      n->smap = std::make_unique<data::ShardedMap>(*n->plane, kShardMapChannel);
-      n->slocks = std::make_unique<data::ShardedLockManager>(
-          *n->plane, kShardLockChannel);
-      data::ReshardConfig rcfg;
-      rcfg.initial_shards = dcfg.n_shards;
-      n->mgr = std::make_unique<data::ReshardManager>(*n->plane, *n->smap,
-                                                      *n->slocks, rcfg);
-      n->traffic_rng = setup_rng.fork();
-      // Shard-aware ack tracking: during a migration window a write can
-      // bounce and apply on a different shard than it routed to at issue
-      // time, and the durable-LSN gate must watch the store it landed in.
-      n->smap->set_shard_change_handler(
-          [this, id](std::size_t shard, const std::string& key,
-                     const std::optional<std::string>& value, NodeId origin) {
-            on_map_change(id, shard, key, value, origin);
-          });
-      break;
-    }
-  }
-  n->logs.resize(n->rings.size());
-  n->counters.assign(n->rings.size(), 0);
-  nodes_.emplace(id, std::move(n));
 }
 
 void ChaosCluster::on_crash(NodeId id) {
-  Node& n = node(id);
-  switch (stack_.kind) {
-    case Kind::kApp:
-      n.session->stop();
-      break;
-    case Kind::kMultiRing:
-      // Node-level crash: every ring AND the shared transport go down — a
-      // stopped ring over a live transport would keep acking token passes.
-      n.mux->set_enabled(false);
-      break;
-    case Kind::kDurable:
-      // Anything durable at the power cut counts as acked — crash_store
-      // only discards the tail AFTER the durable LSN, so sweeping first is
-      // exact.
-      sweep_acks(id);
-      void_pending_if([id](const Pending& p) { return p.node == id; });
-      for (std::size_t s = 0; s < n.plane->shard_count(); ++s) {
-        if (n.shards_down.count(s) == 0) n.plane->crash_store(s);
-      }
-      n.mux->set_enabled(false);
-      break;
+  if (is(Kind::kDurable)) {
+    // Anything durable at the power cut counts as acked — the crash only
+    // discards the tail AFTER the durable LSN, so sweeping first is exact.
+    sweep_acks(id);
+    void_pending_if([id](const Pending& p) { return p.node == id; });
   }
-  n.crashed_at = net_.now();
+  sim_.crash(id);
+  Node& n = node(id);
+  n.crashed_at = net().now();
   n.detection_recorded = false;
 }
 
 void ChaosCluster::on_restart(NodeId id) {
   Node& n = node(id);
-  ++n.epoch;  // new incarnation: its traffic counters restart from zero
+  // A new incarnation: its traffic counters restart from zero.
   std::fill(n.counters.begin(), n.counters.end(), 0);
   n.crashed_at = -1;
-  n.restarted_at = net_.now();
-  switch (stack_.kind) {
-    case Kind::kApp:
-      n.session->found();  // discovery (BODYODOR) merges it back in
-      break;
-    case Kind::kMultiRing:
-      n.mux->set_enabled(true);
-      for (auto* ring : n.rings) ring->found();
-      break;
-    case Kind::kDurable:
-      n.mux->set_enabled(true);
-      // Shards that are down CLUSTER-WIDE stay down on this node too; the
-      // shard-restart hook brings them back everywhere at once.
-      n.shards_down = global_shards_down_;
-      for (std::size_t s = 0; s < n.plane->shard_count(); ++s) {
-        if (global_shards_down_.count(s)) continue;
-        n.plane->open_store(s);
-        n.plane->recover_store(s);  // shadow ready before the ring forms
-      }
-      // Rebuild the migration window from the recovered filter journals
-      // before any ring re-forms, so the first post-restart applies are
-      // classified with the journaled state, not the stale in-memory one.
-      n.mgr->after_recovery();
-      for (std::size_t s = 0; s < n.plane->shard_count(); ++s) {
-        if (global_shards_down_.count(s)) continue;
-        if (!n.plane->ring(s).started()) n.plane->ring(s).found();
-      }
-      break;
-  }
+  n.restarted_at = net().now();
+  // Shards that are down CLUSTER-WIDE stay down on this node too; the
+  // shard-restart hook brings them back everywhere at once.
+  n.shards_down = global_shards_down_;
+  sim_.restart(id, global_shards_down_);
 }
 
 void ChaosCluster::on_removal_observed(NodeId removed) {
   auto it = nodes_.find(removed);
   if (it == nodes_.end()) return;
-  Node& target = *it->second;
-  if (target.session->started()) {
+  Node& target = it->second;
+  if (sim_.session(removed).started()) {
     // A removal landing just after the node's chaos restart was decided
     // while the node was genuinely down — a correct (if stale) detection
     // that raced the rejoin, not a detector error. The grace window covers
     // the worst-case detection bound plus removal propagation.
     constexpr Time kRestartGrace = millis(500);
     if (target.restarted_at >= 0 &&
-        net_.now() - target.restarted_at <= kRestartGrace) {
+        net().now() - target.restarted_at <= kRestartGrace) {
       true_removals_.inc();
       return;
     }
@@ -244,7 +180,7 @@ void ChaosCluster::on_removal_observed(NodeId removed) {
   true_removals_.inc();
   if (target.crashed() && !target.detection_recorded) {
     target.detection_recorded = true;
-    detection_latency_.record_time(net_.now() - target.crashed_at);
+    detection_latency_.record_time(net().now() - target.crashed_at);
   }
 }
 
@@ -254,32 +190,12 @@ bool ChaosCluster::bootstrap(Time timeout) {
   if (timeout == 0) {
     timeout = kShapes[static_cast<std::size_t>(stack_.kind)].bootstrap_timeout;
   }
-  for (auto& [id, n] : nodes_) {
-    if (!is(Kind::kDurable)) {
-      for (auto* ring : n->rings) ring->found();
-      continue;
-    }
-    if (!n->plane->open_storage()) {
-      violation("bootstrap: node " + std::to_string(id) +
-                " failed to open its stores under " + stack_.root_dir);
-      return false;
-    }
-    n->plane->found_all();
+  if (!sim_.found_all()) {
+    violation("bootstrap: a node failed to open its stores under " +
+              stack_.durable.storage.dir);
+    return false;
   }
-  auto ready = [this] {
-    if (!is(Kind::kDurable)) return rings_converged(ids_);
-    for (auto& [id, n] : nodes_) {
-      if (!n->plane->all_converged(ids_.size()) || !n->smap->synced()) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const Time deadline = net_.now() + timeout;
-  while (net_.now() < deadline) {
-    if (ready()) return true;
-    net_.loop().run_for(millis(10));
-  }
+  if (sim_.run_until_converged(ids_, timeout)) return true;
   violation("bootstrap: not every ring converged");
   return false;
 }
@@ -289,40 +205,34 @@ void ChaosCluster::start_traffic(NodeId id) {
   Node& n = node(id);
   Time gap = shape.traffic_gap +
              static_cast<Time>(n.traffic_rng.next_below(shape.traffic_jitter));
-  n.traffic_timer = net_.loop().schedule(gap, [this, id] {
+  n.traffic_timer = net().loop().schedule(gap, [this, id] {
     Node& st = node(id);
     st.traffic_timer = 0;
     if (!traffic_on_) return;
     if (is(Kind::kDurable)) {
       if (!st.crashed()) {
         issue_op(id);
-        st.mgr->tick();  // coordinator re-drive rides the traffic cadence
+        // The coordinator's re-drive rides the traffic cadence.
+        stack(id).mgr->tick();
       }
     } else {
       // Multi-ring nodes pick a random ring so every ring sees load.
       const std::size_t r =
           is(Kind::kMultiRing)
               ? static_cast<std::size_t>(st.traffic_rng.next_below(
-                    st.rings.size()))
+                    st.counters.size()))
               : 0;
-      const session::SessionNode& ring = *st.rings[r];
+      const session::SessionNode& ring = *sim_.rings(id)[r];
       if (ring.started() && ring.view().has(id)) {
-        send(st, r,
-             "c:" + std::to_string(id) + ":" + std::to_string(st.epoch) + ":" +
-                 std::to_string(st.counters[r]++));
+        sim_.send(id,
+                  "c:" + std::to_string(id) + ":" +
+                      std::to_string(stack(id).incarnation) + ":" +
+                      std::to_string(st.counters[r]++),
+                  session::Ordering::kAgreed, r);
       }
     }
     start_traffic(id);
   });
-}
-
-void ChaosCluster::send(Node& n, std::size_t ring, const std::string& payload) {
-  Bytes bytes(payload.begin(), payload.end());
-  if (is(Kind::kApp)) {
-    n.chan->send(kAppChannel, std::move(bytes));
-  } else {
-    n.rings[ring]->multicast(std::move(bytes));
-  }
 }
 
 void ChaosCluster::run_chaos(Time duration) {
@@ -336,9 +246,9 @@ void ChaosCluster::run_chaos(Time duration) {
     }
   }
   engine_->start();
-  const Time end = net_.now() + duration;
-  while (net_.now() < end) {
-    net_.loop().run_for(millis(10));
+  const Time end = net().now() + duration;
+  while (net().now() < end) {
+    sim_.run(millis(10));
     if (!is(Kind::kDurable)) check_token_uniqueness("during chaos");
   }
 }
@@ -346,16 +256,16 @@ void ChaosCluster::run_chaos(Time duration) {
 void ChaosCluster::wait_stable(const std::function<bool()>& ready,
                                Time timeout) {
   constexpr Time kStableWindow = millis(300);
-  const Time deadline = net_.now() + timeout;
+  const Time deadline = net().now() + timeout;
   Time stable_since = -1;
-  while (net_.now() < deadline) {
+  while (net().now() < deadline) {
     if (ready()) {
-      if (stable_since < 0) stable_since = net_.now();
-      if (net_.now() - stable_since >= kStableWindow) return;
+      if (stable_since < 0) stable_since = net().now();
+      if (net().now() - stable_since >= kStableWindow) return;
     } else {
       stable_since = -1;
     }
-    net_.loop().run_for(millis(10));
+    sim_.run(millis(10));
   }
 }
 
@@ -372,16 +282,16 @@ void ChaosCluster::heal_and_check(Time converge_timeout) {
   // Everybody is back up; wait (with traffic still flowing) until every
   // ring converges to the full live set and stays there.
   const std::vector<NodeId>& live = ids_;
-  auto converged = [this] { return rings_converged(ids_); };
+  auto converged = [this] { return sim_.converged(ids_); };
   wait_stable(converged, converge_timeout);
   check_membership(live);
   // Quiesce: stop the traffic generators and drain in-flight messages.
   traffic_on_ = false;
-  net_.loop().run_for(millis(300));
+  sim_.run(millis(300));
   // Token uniqueness in the quiescent group, sampled across several rounds.
   for (int i = 0; i < 40; ++i) {
     check_token_uniqueness("quiescent");
-    net_.loop().run_for(session_cfg_.token_hold / 2 + micros(500));
+    sim_.run(token_hold_ / 2 + micros(500));
   }
   check_chaos_deliveries();
   // Re-verify stability before the delivery batch: the quiesce and token
@@ -405,30 +315,19 @@ std::string ChaosCluster::where(NodeId id, std::size_t ring) const {
   return out;
 }
 
-bool ChaosCluster::rings_converged(const std::vector<NodeId>& live) const {
-  const std::vector<NodeId> want = sorted(live);
-  for (NodeId id : live) {
-    for (const auto* ring : node(id).rings) {
-      if (!ring->started() || sorted(ring->view().members) != want) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 void ChaosCluster::check_token_uniqueness(const char* when) {
   // Sound sampling rule: two nodes may legitimately hold a token each while
   // their groups have not merged yet (§2.4 strategy 2) — but two nodes with
   // *identical views* of one ring belong to the same logical group and must
   // never both be EATING. Rings with different indices are independent.
-  const std::size_t n_rings = nodes_.begin()->second->rings.size();
-  for (std::size_t r = 0; r < n_rings; ++r) {
-    for (auto it = nodes_.begin(); it != nodes_.end(); ++it) {
-      const auto& a = *it->second->rings[r];
+  std::vector<std::pair<NodeId, std::vector<session::SessionNode*>>> all;
+  for (const auto& [id, n] : nodes_) all.emplace_back(id, sim_.rings(id));
+  for (std::size_t r = 0; r < all.front().second.size(); ++r) {
+    for (auto it = all.begin(); it != all.end(); ++it) {
+      const auto& a = *it->second[r];
       if (!a.started() || !a.holds_token()) continue;
-      for (auto jt = std::next(it); jt != nodes_.end(); ++jt) {
-        const auto& b = *jt->second->rings[r];
+      for (auto jt = std::next(it); jt != all.end(); ++jt) {
+        const auto& b = *jt->second[r];
         if (!b.started() || !b.holds_token() || a.view() != b.view()) {
           continue;
         }
@@ -437,7 +336,7 @@ void ChaosCluster::check_token_uniqueness(const char* when) {
             "token uniqueness (" + when + "): nodes " +
             std::to_string(it->first) + " and " + std::to_string(jt->first) +
             " both EATING in identical view at t=" +
-            std::to_string(to_millis(net_.now())) + "ms");
+            std::to_string(to_millis(net().now())) + "ms");
       }
     }
   }
@@ -446,10 +345,10 @@ void ChaosCluster::check_token_uniqueness(const char* when) {
 void ChaosCluster::check_membership(const std::vector<NodeId>& live) {
   const std::vector<NodeId> want = sorted(live);
   for (NodeId id : live) {
-    const Node& n = node(id);
-    for (std::size_t r = 0; r < n.rings.size(); ++r) {
-      const std::vector<NodeId> got = sorted(n.rings[r]->view().members);
-      if (n.rings[r]->started() && got == want) continue;
+    const auto rings = sim_.rings(id);
+    for (std::size_t r = 0; r < rings.size(); ++r) {
+      const std::vector<NodeId> got = sorted(rings[r]->view().members);
+      if (rings[r]->started() && got == want) continue;
       std::string members;
       for (NodeId m : got) members += std::to_string(m) + " ";
       violation("membership: " + where(id, r) +
@@ -464,11 +363,11 @@ void ChaosCluster::check_chaos_deliveries() {
   // (partitions and ring removals drop messages), duplicates and
   // reordering never are.
   for (auto& [id, n] : nodes_) {
-    for (std::size_t r = 0; r < n->logs.size(); ++r) {
+    for (std::size_t r = 0; r < stack(id).delivered.size(); ++r) {
       std::map<std::tuple<std::uint64_t, NodeId, std::uint64_t>,
                std::pair<bool, std::uint64_t>>
           last;  // (recv_epoch, origin, origin_epoch) -> (seen, counter)
-      for (const Delivered& d : n->logs[r]) {
+      for (const Delivery& d : sim_.delivered(id, r)) {
         if (d.payload.rfind("c:", 0) != 0) continue;
         NodeId origin = 0;
         std::uint64_t epoch = 0, counter = 0;
@@ -486,7 +385,8 @@ void ChaosCluster::check_chaos_deliveries() {
                     std::to_string(d.origin));
           continue;
         }
-        auto& [seen, prev] = last[std::make_tuple(d.recv_epoch, origin, epoch)];
+        auto& [seen, prev] =
+            last[std::make_tuple(d.incarnation, origin, epoch)];
         if (seen && counter <= prev) {
           violation("delivery: " + where(id, r) +
                     " saw duplicate/out-of-order counter " +
@@ -507,7 +407,7 @@ void ChaosCluster::check_final_batch(const std::vector<NodeId>& live) {
   // batch multicast by every live node must arrive complete, exactly once,
   // and in the identical order everywhere.
   const Shape& shape = kShapes[static_cast<std::size_t>(stack_.kind)];
-  const std::size_t n_rings = node(live.front()).rings.size();
+  const std::size_t n_rings = node(live.front()).counters.size();
   auto payload = [this](NodeId id, std::size_t r, int k) {
     return "f:" + std::to_string(id) + ":" +
            (is(Kind::kMultiRing) ? std::to_string(r) + ":" : "") +
@@ -515,19 +415,19 @@ void ChaosCluster::check_final_batch(const std::vector<NodeId>& live) {
   };
   std::map<NodeId, std::vector<std::size_t>> mark;
   for (NodeId id : live) {
-    for (const auto& log : node(id).logs) mark[id].push_back(log.size());
+    for (const auto& log : stack(id).delivered) mark[id].push_back(log.size());
   }
   for (NodeId id : live) {
     for (std::size_t r = 0; r < n_rings; ++r) {
       for (int k = 0; k < shape.final_per_node; ++k) {
-        send(node(id), r, payload(id, r, k));
+        sim_.send(id, payload(id, r, k), session::Ordering::kAgreed, r);
       }
     }
   }
   const std::size_t expect = live.size() * shape.final_per_node;
   auto batch_of = [&](NodeId id, std::size_t r) {
     std::vector<std::pair<NodeId, std::string>> out;
-    const auto& log = node(id).logs[r];
+    const auto& log = sim_.delivered(id, r);
     for (std::size_t i = mark[id][r]; i < log.size(); ++i) {
       if (log[i].payload.rfind("f:", 0) == 0) {
         out.emplace_back(log[i].origin, log[i].payload);
@@ -543,10 +443,7 @@ void ChaosCluster::check_final_batch(const std::vector<NodeId>& live) {
     }
     return true;
   };
-  const Time deadline = net_.now() + shape.final_deadline;
-  while (net_.now() < deadline && !all_arrived()) {
-    net_.loop().run_for(millis(10));
-  }
+  sim_.run_until(all_arrived, shape.final_deadline);
   for (std::size_t r = 0; r < n_rings; ++r) {
     const auto ref = batch_of(live.front(), r);
     if (ref.size() != expect) {
@@ -598,16 +495,16 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
   auto probe = std::make_shared<Probe>();
   const std::string lock = "chaos-final";
   for (NodeId id : live) {
-    node(id).locks->acquire(lock, [this, probe, id](const std::string&) {
+    stack(id).locks->acquire(lock, [this, probe, id](const std::string&) {
       ++probe->depth;
       if (probe->depth != 1) {
         violation("lock exclusion: node " + std::to_string(id) +
                   " granted while another node still holds the lock");
       }
       ++probe->grants[id];
-      net_.loop().schedule(millis(2), [this, probe, id] {
+      net().loop().schedule(millis(2), [this, probe, id] {
         --probe->depth;
-        node(id).locks->release("chaos-final");
+        stack(id).locks->release("chaos-final");
       });
     });
   }
@@ -617,10 +514,7 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
     }
     return true;
   };
-  const Time deadline = net_.now() + millis(5000);
-  while (net_.now() < deadline && !all_granted()) {
-    net_.loop().run_for(millis(10));
-  }
+  sim_.run_until(all_granted, millis(5000));
   for (NodeId id : live) {
     if (probe->grants[id] != 1) {
       violation("lock service: node " + std::to_string(id) + " granted " +
@@ -628,9 +522,9 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
     }
   }
   // Let the last release circulate, then every replica must agree: no owner.
-  net_.loop().run_for(millis(500));
+  sim_.run(millis(500));
   for (NodeId id : live) {
-    if (auto owner = node(id).locks->owner(lock)) {
+    if (auto owner = stack(id).locks->owner(lock)) {
       violation("lock service: node " + std::to_string(id) +
                 " still sees owner " + std::to_string(*owner) +
                 " after all releases");
@@ -640,22 +534,21 @@ void ChaosCluster::check_lock_service(const std::vector<NodeId>& live) {
 
 void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
   for (NodeId id : live) {
-    node(id).map->put("final-" + std::to_string(id), std::to_string(id));
+    stack(id).map->put("final-" + std::to_string(id), std::to_string(id));
   }
-  const Time deadline = net_.now() + millis(5000);
   auto settled = [&] {
-    const auto& ref = node(live.front()).map->contents();
+    const auto& ref = stack(live.front()).map->contents();
     for (NodeId id : live) {
-      const auto& m = *node(id).map;
+      const auto& m = *stack(id).map;
       if (!m.synced() || m.contents() != ref) return false;
       if (!m.contains("final-" + std::to_string(id))) return false;
     }
     return true;
   };
-  while (net_.now() < deadline && !settled()) net_.loop().run_for(millis(10));
-  const auto& ref = node(live.front()).map->contents();
+  sim_.run_until(settled, millis(5000));
+  const auto& ref = stack(live.front()).map->contents();
   for (NodeId id : live) {
-    const auto& m = *node(id).map;
+    const auto& m = *stack(id).map;
     if (!m.synced()) {
       violation("replicated map: node " + std::to_string(id) + " never synced");
       continue;
@@ -674,21 +567,21 @@ void ChaosCluster::check_map_convergence(const std::vector<NodeId>& live) {
 }
 
 void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
-  const apps::VipManager& ref = *node(live.front()).vips;
+  const apps::VipManager& ref = *stack(live.front()).vips;
   const std::set<NodeId> live_set(live.begin(), live.end());
   auto covered = [&] {
     for (const std::string& vip : ref.pool()) {
       auto owner = ref.owner_of(vip);
       if (!owner || live_set.count(*owner) == 0) return false;
       for (NodeId id : live) {
-        if (node(id).vips->owner_of(vip) != owner) return false;
+        if (stack(id).vips->owner_of(vip) != owner) return false;
       }
-      if (subnet_.resolve(vip) != owner) return false;
+      if (sim_.subnet().resolve(vip) != owner) return false;
     }
     return true;
   };
-  const Time deadline = net_.now() + millis(5000);
-  while (net_.now() < deadline && !covered()) net_.loop().run_for(millis(20));
+  const Time deadline = net().now() + millis(5000);
+  while (net().now() < deadline && !covered()) sim_.run(millis(20));
   for (const std::string& vip : ref.pool()) {
     auto owner = ref.owner_of(vip);
     if (!owner || live_set.count(*owner) == 0) {
@@ -696,12 +589,12 @@ void ChaosCluster::check_vip_coverage(const std::vector<NodeId>& live) {
       continue;
     }
     for (NodeId id : live) {
-      if (node(id).vips->owner_of(vip) != owner) {
+      if (stack(id).vips->owner_of(vip) != owner) {
         violation("vip coverage: node " + std::to_string(id) +
                   " disagrees on the owner of " + vip);
       }
     }
-    auto resolved = subnet_.resolve(vip);
+    auto resolved = sim_.subnet().resolve(vip);
     if (resolved != owner) {
       violation("vip coverage: subnet resolves " + vip + " to " +
                 (resolved ? std::to_string(*resolved) : "nobody") +
@@ -716,12 +609,12 @@ void ChaosCluster::check_detector_consistency(const std::vector<NodeId>& live) {
   // One shared failure detector feeding K rings must leave them agreeing
   // at quiescence...
   for (NodeId id : live) {
-    const Node& n = node(id);
+    const auto rings = sim_.rings(id);
     // Ring order (the token circulation order) legitimately differs per
     // ring — only the member SET must agree.
-    const std::vector<NodeId> ref = sorted(n.rings[0]->view().members);
-    for (std::size_t r = 1; r < n.rings.size(); ++r) {
-      if (sorted(n.rings[r]->view().members) != ref) {
+    const std::vector<NodeId> ref = sorted(rings[0]->view().members);
+    for (std::size_t r = 1; r < rings.size(); ++r) {
+      if (sorted(rings[r]->view().members) != ref) {
         violation("detector consistency: node " + std::to_string(id) +
                   " rings 0 and " + std::to_string(r) +
                   " disagree on membership at quiescence");
@@ -731,7 +624,8 @@ void ChaosCluster::check_detector_consistency(const std::vector<NodeId>& live) {
     // `transport.*`; a per-ring copy (e.g. "ring1.transport.rtt_samples")
     // would mean duplicated detection state.
     std::size_t plain = 0, prefixed = 0;
-    for (const auto& [name, value] : n.mux->metrics_snapshot().counters) {
+    const auto snap = stack(id).mux->metrics_snapshot();
+    for (const auto& [name, value] : snap.counters) {
       if (name == "transport.rtt_samples") {
         ++plain;
       } else if (name.find("transport.rtt_samples") != std::string::npos) {
@@ -751,23 +645,24 @@ void ChaosCluster::check_detector_consistency(const std::vector<NodeId>& live) {
 
 void ChaosCluster::issue_op(NodeId id) {
   Node& st = node(id);
+  SimCluster::Node& sn = stack(id);
   const std::size_t slot =
       st.traffic_rng.next_below(stack_.durable.slots_per_node);
   const std::string key =
       "d" + std::to_string(id) + ":" + std::to_string(slot);
   if (pending_.count(key)) return;  // one outstanding op per slot
-  const std::size_t shard = st.smap->write_shard_of(key);
+  const std::size_t shard = sn.smap->write_shard_of(key);
   if (st.shards_down.count(shard)) return;
-  const session::SessionNode& ring = st.plane->ring(shard);
+  const session::SessionNode& ring = sn.plane->ring(shard);
   if (!ring.started() || !ring.view().has(id)) return;
-  if (!st.smap->shard(shard).synced()) return;
+  if (!sn.smap->shard(shard).synced()) return;
 
   Pending p;
   p.op_id = next_op_id_++;
   p.node = id;
   p.key = key;
   p.shard = shard;
-  p.issued_at = net_.now();
+  p.issued_at = net().now();
   p.saw_migration = migration_open();
 
   OpRecord op;
@@ -782,17 +677,16 @@ void ChaosCluster::issue_op(NodeId id) {
   history_[key].push_back(op);
   pending_.emplace(key, p);
   if (op.is_erase) {
-    st.smap->erase(key);
+    sn.smap->erase(key);
   } else {
-    st.smap->put(key, op.value);
+    sn.smap->put(key, op.value);
   }
   // Light lock traffic so the lock journal/recovery path sees the same
   // storms (exclusion itself is judged by the lock suite, not here).
   if (st.traffic_rng.chance(0.1)) {
-    st.slocks->acquire("lk:" + key, [this, id](const std::string& name) {
-      net_.loop().schedule(millis(1), [this, id, name] {
-        Node& holder = node(id);
-        if (!holder.crashed()) holder.slocks->release(name);
+    sn.slocks->acquire("lk:" + key, [this, id](const std::string& name) {
+      net().loop().schedule(millis(1), [this, id, name] {
+        if (!node(id).crashed()) stack(id).slocks->release(name);
       });
     });
   }
@@ -818,7 +712,7 @@ void ChaosCluster::on_map_change(NodeId id, std::size_t shard,
   p.shard = shard;
   // The journal record was appended inside the apply, just before this
   // handler ran — the store's head LSN IS that record's LSN.
-  p.applied_lsn = node(id).plane->store(shard)->lsn();
+  p.applied_lsn = stack(id).plane->store(shard)->lsn();
 }
 
 void ChaosCluster::ack(Pending& p) {
@@ -831,25 +725,25 @@ void ChaosCluster::ack(Pending& p) {
   }
   ++acked_ops_;
   if (p.saw_migration || migration_open()) {
-    ack_lat_migration_.push_back(to_millis(net_.now() - p.issued_at));
+    ack_lat_migration_.push_back(to_millis(net().now() - p.issued_at));
   } else {
-    ack_lat_steady_.push_back(to_millis(net_.now() - p.issued_at));
+    ack_lat_steady_.push_back(to_millis(net().now() - p.issued_at));
   }
 }
 
 bool ChaosCluster::migration_open() const {
   for (const auto& [id, n] : nodes_) {
-    if (!n->crashed() && n->plane->vrouter().migrating()) return true;
+    if (!n.crashed() && stack(id).plane->vrouter().migrating()) return true;
   }
   return false;
 }
 
 void ChaosCluster::sweep_acks(NodeId id) {
-  Node& st = node(id);
+  SimCluster::Node& sn = stack(id);
   for (auto it = pending_.begin(); it != pending_.end();) {
     Pending& p = it->second;
     if (p.node == id && p.applied &&
-        st.plane->store(p.shard)->durable_lsn() >= p.applied_lsn) {
+        sn.plane->store(p.shard)->durable_lsn() >= p.applied_lsn) {
       ack(p);
       it = pending_.erase(it);
     } else {
@@ -861,9 +755,8 @@ void ChaosCluster::sweep_acks(NodeId id) {
 void ChaosCluster::sweep_acks_shard(std::size_t shard) {
   for (auto it = pending_.begin(); it != pending_.end();) {
     Pending& p = it->second;
-    Node& st = node(p.node);
-    if (p.shard == shard && !st.crashed() && p.applied &&
-        st.plane->store(p.shard)->durable_lsn() >= p.applied_lsn) {
+    if (p.shard == shard && !node(p.node).crashed() && p.applied &&
+        stack(p.node).plane->store(p.shard)->durable_lsn() >= p.applied_lsn) {
       ack(p);
       it = pending_.erase(it);
     } else {
@@ -885,7 +778,7 @@ void ChaosCluster::void_pending_if(
 }
 
 void ChaosCluster::schedule_sweep() {
-  sweep_timer_ = net_.loop().schedule(stack_.durable.sweep_every, [this] {
+  sweep_timer_ = net().loop().schedule(stack_.durable.sweep_every, [this] {
     sweep_timer_ = 0;
     if (!traffic_on_) return;
     for (NodeId id : ids_) {
@@ -895,7 +788,7 @@ void ChaosCluster::schedule_sweep() {
     // retry; the op's effects may or may not survive, which the oracle
     // allows — exactly the real-world unknown-outcome window.
     void_pending_if([this](const Pending& p) {
-      return net_.now() - p.issued_at > stack_.durable.op_timeout;
+      return net().now() - p.issued_at > stack_.durable.op_timeout;
     });
     schedule_sweep();
   });
@@ -909,10 +802,11 @@ void ChaosCluster::crash_shard(std::size_t shard) {
   void_pending_if([shard](const Pending& p) { return p.shard == shard; });
   for (NodeId id : ids_) {
     Node& st = node(id);
+    SimCluster::Node& sn = stack(id);
     if (st.crashed() || st.shards_down.count(shard)) continue;
-    if (shard >= st.plane->shard_count()) continue;
-    st.plane->crash_store(shard);
-    st.plane->ring(shard).stop();
+    if (shard >= sn.plane->shard_count()) continue;
+    sn.plane->crash_store(shard);
+    sn.plane->ring(shard).stop();
     st.shards_down.insert(shard);
   }
 }
@@ -921,11 +815,12 @@ void ChaosCluster::restart_shard(std::size_t shard) {
   global_shards_down_.erase(shard);
   for (NodeId id : ids_) {
     Node& st = node(id);
+    SimCluster::Node& sn = stack(id);
     if (st.crashed() || st.shards_down.count(shard) == 0) continue;
-    st.plane->open_store(shard);
-    st.plane->recover_store(shard);
-    st.mgr->after_recovery();
-    if (!st.plane->ring(shard).started()) st.plane->ring(shard).found();
+    sn.plane->open_store(shard);
+    sn.plane->recover_store(shard);
+    sn.mgr->after_recovery();
+    if (!sn.plane->ring(shard).started()) sn.plane->ring(shard).found();
     st.shards_down.erase(shard);
   }
 }
@@ -933,7 +828,7 @@ void ChaosCluster::restart_shard(std::size_t shard) {
 // --- kDurable: live resize --------------------------------------------------
 
 void ChaosCluster::schedule_resize(Time delay) {
-  resize_timer_ = net_.loop().schedule(delay, [this] {
+  resize_timer_ = net().loop().schedule(delay, [this] {
     resize_timer_ = 0;
     if (!traffic_on_ || resize_requested_) return;
     ensure_resize_requested();
@@ -950,31 +845,30 @@ void ChaosCluster::ensure_resize_requested() {
     // of it — start_resize is ignored while in flight or once grown, so
     // re-requesting is idempotent.
     for (auto& [id, n] : nodes_) {
-      if (n->mgr->migrating() || n->mgr->epoch() > 0 ||
-          n->plane->shard_count() > dcfg.n_shards) {
+      if (stack(id).mgr->migrating() || stack(id).mgr->epoch() > 0 ||
+          stack(id).plane->shard_count() > dcfg.n_shards) {
         return;
       }
     }
-    if (net_.now() - resize_requested_at_ < millis(400)) return;
+    if (net().now() - resize_requested_at_ < millis(400)) return;
   }
   for (NodeId id : ids_) {
-    Node& st = node(id);
-    if (st.crashed()) continue;
-    st.mgr->start_resize(dcfg.resize_to);
+    if (node(id).crashed()) continue;
+    stack(id).mgr->start_resize(dcfg.resize_to);
     resize_requested_ = true;
-    resize_requested_at_ = net_.now();
+    resize_requested_at_ = net().now();
     return;
   }
 }
 
 void ChaosCluster::schedule_migration_watch() {
-  watch_timer_ = net_.loop().schedule(millis(2), [this] {
+  watch_timer_ = net().loop().schedule(millis(2), [this] {
     watch_timer_ = 0;
     if (!traffic_on_) return;
     ensure_resize_requested();
     if (migration_open()) {
-      if (mig_first_open_ == 0) mig_first_open_ = net_.now();
-      mig_last_open_ = net_.now();
+      if (mig_first_open_ == 0) mig_first_open_ = net().now();
+      mig_last_open_ = net().now();
     }
     watch_migration_fault();
     schedule_migration_watch();
@@ -993,8 +887,8 @@ void ChaosCluster::watch_migration_fault() {
     }
   }
   if (coord == kInvalidNode) return;
-  Node& st = node(coord);
-  const data::VersionedRouter& vr = st.plane->vrouter();
+  SimCluster::Node& sn = stack(coord);
+  const data::VersionedRouter& vr = sn.plane->vrouter();
   if (!vr.migrating()) return;
   bool any_frozen = false;
   bool any_cut = false;
@@ -1008,7 +902,7 @@ void ChaosCluster::watch_migration_fault() {
       // Chunks have left the coordinator but the range is not yet cut: the
       // replica the snapshot is being read from dies mid-transfer.
       const std::uint64_t chunks =
-          st.mgr->metrics().counter("data.reshard.chunks_sent").value();
+          sn.mgr->metrics().counter("data.reshard.chunks_sent").value();
       if (any_frozen && chunks > 0) {
         migration_fault_fired_ = engine_->inject_crash(coord, dur);
       }
@@ -1047,19 +941,20 @@ bool ChaosCluster::durable_settled() {
   // actually landed on the final table (a node can retire its partitions
   // yet keep a stale current table after an ill-timed crash — the tick
   // below lets the manager's self-heal paths run).
-  const Node& ref = node(ids_.front());
+  const SimCluster::Node& ref = stack(ids_.front());
   const std::size_t k = ref.plane->shard_count();
   const std::uint64_t ep = ref.mgr->epoch();
   if (resize_requested_ && k != stack_.durable.resize_to) return false;
   for (auto& [id, n] : nodes_) {
-    if (!n->crashed()) n->mgr->tick();
-    if (n->mgr->migrating()) return false;
-    if (n->plane->shard_count() != k || n->mgr->epoch() != ep) return false;
-    if (n->plane->vrouter().migrating() ||
-        n->plane->vrouter().current().shard_count() != k) {
+    SimCluster::Node& sn = stack(id);
+    if (!n.crashed()) sn.mgr->tick();
+    if (sn.mgr->migrating()) return false;
+    if (sn.plane->shard_count() != k || sn.mgr->epoch() != ep) return false;
+    if (sn.plane->vrouter().migrating() ||
+        sn.plane->vrouter().current().shard_count() != k) {
       return false;
     }
-    if (!n->plane->all_converged(ids_.size()) || !n->smap->synced()) {
+    if (!sn.plane->all_converged(ids_.size()) || !sn.smap->synced()) {
       return false;
     }
   }
@@ -1071,8 +966,8 @@ void ChaosCluster::heal_durable(Time converge_timeout) {
   if (!durable_settled()) {
     violation("heal: not every shard ring re-converged to the full set");
   }
-  final_shards_ = node(ids_.front()).plane->shard_count();
-  final_epoch_ = node(ids_.front()).mgr->epoch();
+  final_shards_ = stack(ids_.front()).plane->shard_count();
+  final_epoch_ = stack(ids_.front()).mgr->epoch();
   if (resize_requested_ && final_shards_ != stack_.durable.resize_to) {
     violation("resize: cluster healed at " + std::to_string(final_shards_) +
               " shards, epoch " + std::to_string(final_epoch_) +
@@ -1081,10 +976,10 @@ void ChaosCluster::heal_durable(Time converge_timeout) {
   }
   // Quiesce the clients, let re-proposals and re-assertions circulate.
   traffic_on_ = false;
-  net_.loop().run_for(millis(400));
+  sim_.run(millis(400));
   // Promote everything still buffered to durable, take the final acks, and
   // write off whatever never resolved.
-  for (auto& [id, n] : nodes_) n->plane->flush_storage();
+  for (auto& [id, n] : nodes_) stack(id).plane->flush_storage();
   for (NodeId id : ids_) sweep_acks(id);
   const std::size_t unresolved = pending_.size();
   voided_ops_ += unresolved;
@@ -1100,12 +995,11 @@ void ChaosCluster::heal_durable(Time converge_timeout) {
 
 void ChaosCluster::check_shard_convergence(const std::vector<NodeId>& live) {
   // Wait until every shard's replicas agree everywhere, then assert it.
-  const Time deadline = net_.now() + millis(6000);
-  const Node& ref = node(live.front());
+  const SimCluster::Node& ref = stack(live.front());
   const std::size_t n_shards = ref.plane->shard_count();
   auto settled = [&] {
     for (NodeId id : live) {
-      const Node& st = node(id);
+      const SimCluster::Node& st = stack(id);
       if (st.smap->shard_count() != n_shards) return false;
       for (std::size_t s = 0; s < n_shards; ++s) {
         if (!st.smap->shard(s).synced()) return false;
@@ -1116,9 +1010,9 @@ void ChaosCluster::check_shard_convergence(const std::vector<NodeId>& live) {
     }
     return true;
   };
-  while (net_.now() < deadline && !settled()) net_.loop().run_for(millis(10));
+  sim_.run_until(settled, millis(6000));
   for (NodeId id : live) {
-    const Node& st = node(id);
+    const SimCluster::Node& st = stack(id);
     if (st.smap->shard_count() != n_shards) {
       violation("convergence: node " + std::to_string(id) + " holds " +
                 std::to_string(st.smap->shard_count()) +
@@ -1147,7 +1041,7 @@ void ChaosCluster::check_ownership() {
   // also present on its old home is a double-apply (the unfreeze never
   // dropped it); a key only on the old home never migrated. Replicas are
   // already known identical (check_shard_convergence), so one node suffices.
-  const Node& ref = node(ids_.front());
+  const SimCluster::Node& ref = stack(ids_.front());
   if (ref.plane->vrouter().migrating()) return;  // heal violation already
   const data::ShardRouter& router = ref.plane->router();
   bool any = false;
@@ -1166,11 +1060,11 @@ void ChaosCluster::check_ownership() {
   if (!any) return;
   for (const auto& [id, n] : nodes_) {
     RC_WARN(kMod, "  node %u: rings=%lu cur_k=%lu migrating=%d epoch=%llu",
-            id, static_cast<unsigned long>(n->plane->shard_count()),
+            id, static_cast<unsigned long>(stack(id).plane->shard_count()),
             static_cast<unsigned long>(
-                n->plane->vrouter().current().shard_count()),
-            n->mgr->migrating() ? 1 : 0,
-            static_cast<unsigned long long>(n->mgr->epoch()));
+                stack(id).plane->vrouter().current().shard_count()),
+            stack(id).mgr->migrating() ? 1 : 0,
+            static_cast<unsigned long long>(stack(id).mgr->epoch()));
   }
 }
 
@@ -1178,7 +1072,7 @@ void ChaosCluster::run_oracle() {
   // Judge the converged final state (reference node) against every key's
   // issue history. See the header for the acked-loss / phantom rules.
   std::map<std::string, std::string> finals;
-  const Node& ref = node(ids_.front());
+  const SimCluster::Node& ref = stack(ids_.front());
   for (std::size_t s = 0; s < ref.plane->shard_count(); ++s) {
     for (const auto& [k, v] : ref.smap->shard(s).contents()) finals[k] = v;
   }
@@ -1229,37 +1123,32 @@ void ChaosCluster::violation(std::string what) {
   violations_.push_back(std::move(what));
 }
 
-std::vector<session::SessionNode*> ChaosCluster::rings_of(const Node& n) const {
-  if (!is(Kind::kDurable)) return n.rings;
-  std::vector<session::SessionNode*> out;
-  for (std::size_t s = 0; s < n.plane->shard_count(); ++s) {
-    out.push_back(&n.plane->ring(s));
-  }
-  return out;
+std::vector<const metrics::Registry*> ChaosCluster::app_registries(
+    NodeId id) const {
+  const SimCluster::Node& n = stack(id);
+  return {&n.session->metrics(), &n.session->transport().metrics(),
+          &n.chan->metrics(),    &n.map->metrics(),
+          &n.locks->metrics(),   &n.vips->metrics()};
 }
 
 metrics::Snapshot ChaosCluster::metrics_snapshot() const {
   metrics::Snapshot out;
   for (const auto& [id, n] : nodes_) {
+    const SimCluster::Node& sn = stack(id);
     switch (stack_.kind) {
       case Kind::kApp:
-        out.merge(n->session->metrics().snapshot());
-        out.merge(n->session->transport().metrics().snapshot());
-        out.merge(n->chan->metrics().snapshot());
-        out.merge(n->map->metrics().snapshot());
-        out.merge(n->locks->metrics().snapshot());
-        out.merge(n->vips->metrics().snapshot());
+        for (const auto* r : app_registries(id)) out.merge(r->snapshot());
         break;
       case Kind::kMultiRing:
-        out.merge(n->mux->metrics_snapshot());
+        out.merge(sn.mux->metrics_snapshot());
         break;
       case Kind::kDurable:
-        out.merge(n->mux->metrics_snapshot());
-        out.merge(n->plane->storage_snapshot());
-        out.merge(n->mgr->metrics().snapshot());
-        for (std::size_t s = 0; s < n->smap->shard_count(); ++s) {
-          out.merge(n->smap->shard(s).metrics().snapshot());
-          out.merge(n->slocks->shard(s).metrics().snapshot());
+        out.merge(sn.mux->metrics_snapshot());
+        out.merge(sn.plane->storage_snapshot());
+        out.merge(sn.mgr->metrics().snapshot());
+        for (std::size_t s = 0; s < sn.smap->shard_count(); ++s) {
+          out.merge(sn.smap->shard(s).metrics().snapshot());
+          out.merge(sn.slocks->shard(s).metrics().snapshot());
         }
         break;
     }
@@ -1272,12 +1161,7 @@ std::size_t ChaosCluster::reservoir_samples() const {
   if (!is(Kind::kApp)) return 0;
   std::size_t total = harness_metrics_.reservoir_samples();
   for (const auto& [id, n] : nodes_) {
-    total += n->session->metrics().reservoir_samples();
-    total += n->session->transport().metrics().reservoir_samples();
-    total += n->chan->metrics().reservoir_samples();
-    total += n->map->metrics().reservoir_samples();
-    total += n->locks->metrics().reservoir_samples();
-    total += n->vips->metrics().reservoir_samples();
+    for (const auto* r : app_registries(id)) total += r->reservoir_samples();
   }
   return total;
 }
@@ -1285,7 +1169,7 @@ std::size_t ChaosCluster::reservoir_samples() const {
 std::string ChaosCluster::ring_dump() const {
   session::RingIntrospector ri;
   for (const auto& [id, n] : nodes_) {
-    for (auto* ring : rings_of(*n)) ri.watch(*ring);
+    for (auto* ring : sim_.rings(id)) ri.watch(*ring);
   }
   return ri.dump();
 }
@@ -1316,27 +1200,22 @@ ChaosRoundResult ChaosCluster::result() const {
   res.metrics = metrics_snapshot();
   res.reservoir_samples = reservoir_samples();
   if (!res.violations.empty()) res.report = failure_report();
-  res.false_removals = false_removals();
-  res.true_removals = true_removals();
+  res.false_removals = false_removals_.value();
+  res.true_removals = true_removals_.value();
   res.acked_ops = acked_ops_;
   res.voided_ops = voided_ops_;
   res.acked_lost = acked_lost_;
   res.phantom_resurrections = phantoms_;
   res.final_epoch = final_epoch_;
   res.final_shards = final_shards_;
-  res.resize_completed = resize_completed();
+  res.resize_completed = stack_.durable.resize_to > 0 &&
+                         final_shards_ == stack_.durable.resize_to;
   return res;
 }
 
 // --- round drivers ----------------------------------------------------------
 
 namespace {
-
-std::vector<NodeId> node_ids(std::size_t n) {
-  std::vector<NodeId> ids;
-  for (std::size_t i = 1; i <= n; ++i) ids.push_back(static_cast<NodeId>(i));
-  return ids;
-}
 
 session::SessionConfig session_config(const ChaosProfile& profile) {
   session::SessionConfig scfg;

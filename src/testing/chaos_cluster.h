@@ -1,5 +1,7 @@
 // The chaos harness: live simulated Raincore stacks under a ChaosEngine
-// fault schedule, plus the invariant checkers the paper promises.
+// fault schedule, plus the invariant checkers the paper promises. The
+// stacks are built, bootstrapped, crashed and restarted by a SimCluster
+// (testing/sim_cluster.h); this class adds the traffic and the oracles.
 //
 // One cluster class, three stack configurations (ChaosStack):
 //
@@ -49,15 +51,9 @@
 #include <string>
 #include <vector>
 
-#include "apps/vip/vip_manager.h"
 #include "common/metrics.h"
-#include "data/lock_manager.h"
-#include "data/replicated_map.h"
-#include "data/reshard.h"
-#include "data/shard_router.h"
-#include "session/session_mux.h"
-#include "session/session_node.h"
 #include "testing/chaos.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore::testing {
 
@@ -84,7 +80,9 @@ struct DurabilityConfig {
   Time op_timeout = millis(2500);
   /// Ack sweep cadence.
   Time sweep_every = millis(2);
-  storage::StorageConfig storage;  ///< dir filled in by the harness
+  /// The dir holds one "node<id>" subdirectory per node, each with one
+  /// directory per shard store. The caller owns its cleanup.
+  storage::StorageConfig storage;
   /// Elastic resharding under the storm: when resize_to > n_shards the
   /// harness asks a live node to start_resize(resize_to) at resize_at into
   /// the chaos phase (re-requesting if the request dies with its proposer)
@@ -102,9 +100,6 @@ struct ChaosStack {
   enum class Kind : std::uint8_t { kApp, kMultiRing, kDurable };
   Kind kind = Kind::kApp;
   std::size_t n_rings = 1;  ///< kMultiRing: rings per node
-  /// kDurable: holds one "node<id>" subdirectory per node, each with one
-  /// directory per shard store. The caller owns its cleanup.
-  std::string root_dir;
   DurabilityConfig durable;  ///< kDurable
 
   static ChaosStack multi_ring(std::size_t n_rings) {
@@ -116,8 +111,8 @@ struct ChaosStack {
   static ChaosStack durable_plane(std::string root_dir, DurabilityConfig cfg) {
     ChaosStack s;
     s.kind = Kind::kDurable;
-    s.root_dir = std::move(root_dir);
-    s.durable = cfg;
+    s.durable = std::move(cfg);
+    s.durable.storage.dir = std::move(root_dir);
     return s;
   }
 };
@@ -168,19 +163,13 @@ class ChaosCluster {
 
   const std::vector<std::string>& violations() const { return violations_; }
   ChaosEngine& engine() { return *engine_; }
-  net::SimNetwork& net() { return net_; }
+  net::SimNetwork& net() { return sim_.net(); }
   /// The node's first ring (its only one in the kApp stack).
-  session::SessionNode& session(NodeId id) {
-    return *rings_of(node(id)).front();
-  }
+  session::SessionNode& session(NodeId id) { return sim_.session(id); }
 
   /// Cluster-wide merge of every layer's instruments on every node (plus,
   /// for kApp, the harness's failure-detection oracle instruments).
   metrics::Snapshot metrics_snapshot() const;
-  /// Removals of a node whose process was alive at removal time (kApp).
-  std::uint64_t false_removals() const { return false_removals_.value(); }
-  /// Removals of genuinely crashed nodes (kApp).
-  std::uint64_t true_removals() const { return true_removals_.value(); }
   /// Samples held across all histogram reservoirs of the kApp stack — the
   /// memory-flatness measure for long soaks.
   std::size_t reservoir_samples() const;
@@ -192,11 +181,6 @@ class ChaosCluster {
   /// Everything above, packaged; the report only when there are violations.
   ChaosRoundResult result() const;
 
-  /// Durability oracle (kDurable).
-  std::uint64_t acked_ops() const { return acked_ops_; }
-  std::uint64_t voided_ops() const { return voided_ops_; }
-  std::uint64_t acked_lost() const { return acked_lost_; }
-  std::uint64_t phantom_resurrections() const { return phantoms_; }
   /// Issue→ack latencies (ms) of every acked op, split by whether the
   /// migration window was open at issue or ack time (bench_reshard's blip).
   const std::vector<double>& ack_latencies_steady_ms() const {
@@ -209,42 +193,14 @@ class ChaosCluster {
   /// watch never saw it).
   Time migration_first_open() const { return mig_first_open_; }
   Time migration_last_open() const { return mig_last_open_; }
-  /// Final migration outcome, valid after heal_and_check.
-  std::uint64_t final_epoch() const { return final_epoch_; }
-  std::size_t final_shard_count() const { return final_shards_; }
-  bool resize_completed() const {
-    return stack_.durable.resize_to > 0 &&
-           final_shards_ == stack_.durable.resize_to;
-  }
 
  private:
-  struct Delivered {
-    std::uint64_t recv_epoch;
-    NodeId origin;
-    std::string payload;
-  };
+  /// Harness state per node; the stack itself lives in the SimCluster.
   struct Node {
-    // kApp stack.
-    std::unique_ptr<session::SessionNode> session;
-    std::unique_ptr<data::ChannelMux> chan;
-    std::unique_ptr<data::ReplicatedMap> map;
-    std::unique_ptr<data::LockManager> locks;
-    std::unique_ptr<apps::VipManager> vips;
-    // kMultiRing and kDurable: one shared transport per node.
-    std::unique_ptr<session::SessionMux> mux;
-    // kDurable stack.
-    std::unique_ptr<data::ShardedDataPlane> plane;
-    std::unique_ptr<data::ShardedMap> smap;
-    std::unique_ptr<data::ShardedLockManager> slocks;
-    std::unique_ptr<data::ReshardManager> mgr;
-    /// Shards whose store+ring are down on this node.
+    /// Shards whose store+ring are down on this node (kDurable).
     std::set<std::size_t> shards_down;
-    /// What the ring checkers watch (kApp, kMultiRing), with a delivery log
-    /// and a traffic counter per ring.
-    std::vector<session::SessionNode*> rings;
-    std::vector<std::vector<Delivered>> logs;
+    /// Chaos traffic counter per ring, reset with every incarnation.
     std::vector<std::uint64_t> counters;
-    std::uint64_t epoch = 0;  ///< incremented on every chaos restart
     net::TimerId traffic_timer = 0;
     Rng traffic_rng{0};
     Time crashed_at = -1;    ///< virtual time of the current crash, -1 if up
@@ -274,11 +230,13 @@ class ChaosCluster {
   };
 
   bool is(ChaosStack::Kind k) const { return stack_.kind == k; }
-  Node& node(NodeId id) { return *nodes_.at(id); }
-  const Node& node(NodeId id) const { return *nodes_.at(id); }
-  /// Every ring a node currently runs (shard rings for kDurable).
-  std::vector<session::SessionNode*> rings_of(const Node& n) const;
+  Node& node(NodeId id) { return nodes_.at(id); }
+  const Node& node(NodeId id) const { return nodes_.at(id); }
+  SimCluster::Node& stack(NodeId id) { return sim_.node(id); }
+  const SimCluster::Node& stack(NodeId id) const { return sim_.node(id); }
   void violation(std::string what);
+  /// Every instrument registry of one kApp node, in merge order.
+  std::vector<const metrics::Registry*> app_registries(NodeId id) const;
   /// "node <id>", plus " ring <r>" in the multi-ring stack.
   std::string where(NodeId id, std::size_t ring) const;
   /// Runs the loop until `ready` holds continuously for 300 ms (or the
@@ -286,15 +244,12 @@ class ChaosCluster {
   /// the victim rejoin before anything is judged.
   void wait_stable(const std::function<bool()>& ready, Time timeout);
 
-  void build_node(NodeId id, Rng& setup_rng);
   void on_crash(NodeId id);
   void on_restart(NodeId id);
   void start_traffic(NodeId id);
-  void send(Node& n, std::size_t ring, const std::string& payload);
   void on_removal_observed(NodeId removed);
 
   // Ring checkers (kApp, kMultiRing).
-  bool rings_converged(const std::vector<NodeId>& live) const;
   void check_token_uniqueness(const char* when);
   void check_membership(const std::vector<NodeId>& live);
   void check_chaos_deliveries();
@@ -330,14 +285,13 @@ class ChaosCluster {
   void check_ownership();
   void run_oracle();
 
-  net::SimNetwork net_;
-  session::SessionConfig session_cfg_;
+  Time token_hold_;
   ChaosConfig chaos_cfg_;
   ChaosStack stack_;
-  apps::Subnet subnet_;
-  std::unique_ptr<ChaosEngine> engine_;
-  std::map<NodeId, std::unique_ptr<Node>> nodes_;
+  SimCluster sim_;
   std::vector<NodeId> ids_;
+  ChaosEngine* engine_ = nullptr;  ///< owned by sim_
+  std::map<NodeId, Node> nodes_;
   bool traffic_on_ = false;
   std::vector<std::string> violations_;
 

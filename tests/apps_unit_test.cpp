@@ -7,8 +7,7 @@
 #include "apps/rainwall/health.h"
 #include "apps/rainwall/traffic.h"
 #include "apps/vip/subnet.h"
-#include "data/channel_mux.h"
-#include "net/sim_network.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
@@ -135,25 +134,19 @@ TEST(TrafficGeneratorTest, ArrivalsAreMonotoneAndInWindow) {
 }
 
 TEST(ChannelMuxTest, RoutesByChannel) {
-  net::SimNetwork net;
-  session::SessionConfig cfg;
-  cfg.eligible = {1, 2};
-  session::SessionNode n1(net.add_node(1), cfg), n2(net.add_node(2), cfg);
-  data::ChannelMux m1(n1), m2(n2);
+  testing::SimCluster c({1, 2}, {}, {}, testing::SimStack::channels());
   std::vector<std::string> ch7, ch9;
-  m2.subscribe(7, [&](NodeId, const Slice& p, session::Ordering) {
+  c.node(2).chan->subscribe(7, [&](NodeId, const Slice& p, session::Ordering) {
     ch7.emplace_back(p.begin(), p.end());
   });
-  m2.subscribe(9, [&](NodeId, const Slice& p, session::Ordering) {
+  c.node(2).chan->subscribe(9, [&](NodeId, const Slice& p, session::Ordering) {
     ch9.emplace_back(p.begin(), p.end());
   });
-  n1.found();
-  n2.join({1});
-  net.loop().run_for(seconds(2));
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(2)));
   std::string a = "seven", b = "nine";
-  m1.send(7, Bytes(a.begin(), a.end()));
-  m1.send(9, Bytes(b.begin(), b.end()));
-  net.loop().run_for(seconds(1));
+  c.node(1).chan->send(7, Bytes(a.begin(), a.end()));
+  c.node(1).chan->send(9, Bytes(b.begin(), b.end()));
+  c.run(seconds(1));
   ASSERT_EQ(ch7.size(), 1u);
   ASSERT_EQ(ch9.size(), 1u);
   EXPECT_EQ(ch7[0], "seven");
@@ -161,31 +154,18 @@ TEST(ChannelMuxTest, RoutesByChannel) {
 }
 
 TEST(ChannelMuxTest, UnsubscribedChannelIsDropped) {
-  net::SimNetwork net;
-  session::SessionConfig cfg;
-  cfg.eligible = {1};
-  session::SessionNode n1(net.add_node(1), cfg);
-  data::ChannelMux m1(n1);
-  n1.found();
-  net.loop().run_for(millis(100));
-  m1.send(55, Bytes{1, 2, 3});
-  net.loop().run_for(millis(200));  // must not crash or misroute
-  SUCCEED();
+  testing::SimCluster c({1}, {}, {}, testing::SimStack::channels());
+  ASSERT_TRUE(c.bootstrap(millis(100)));
+  c.node(1).chan->send(55, Bytes{1, 2, 3});
+  c.run(millis(200));  // must not crash or misroute
 }
 
 TEST(ChannelMuxTest, MultipleViewSubscribersAllFire) {
-  net::SimNetwork net;
-  session::SessionConfig cfg;
-  cfg.eligible = {1, 2};
-  session::SessionNode n1(net.add_node(1), cfg), n2(net.add_node(2), cfg);
-  data::ChannelMux m1(n1);
+  testing::SimCluster c({1, 2}, {}, {}, testing::SimStack::channels());
   int a = 0, b = 0;
-  m1.subscribe_views([&](const session::View&) { ++a; });
-  m1.subscribe_views([&](const session::View&) { ++b; });
-  data::ChannelMux m2(n2);
-  n1.found();
-  n2.join({1});
-  net.loop().run_for(seconds(2));
+  c.node(1).chan->subscribe_views([&](const session::View&) { ++a; });
+  c.node(1).chan->subscribe_views([&](const session::View&) { ++b; });
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(2)));
   EXPECT_GT(a, 0);
   EXPECT_EQ(a, b);
 }

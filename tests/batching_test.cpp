@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/chaos_cluster.h"
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
@@ -15,7 +15,7 @@ using session::Ordering;
 using testing::ChaosProfile;
 using testing::ChaosRoundResult;
 using testing::run_multi_ring_round;
-using testing::TestCluster;
+using testing::SimCluster;
 
 double counter_of(const session::SessionNode& n, const std::string& name) {
   const metrics::Snapshot snap = n.metrics().snapshot();
@@ -29,9 +29,8 @@ TEST(BatchFormation, VisitCoalescesBacklogIntoBatchFrames) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.max_batch_msgs = 64;
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Enqueue a burst while node 1 does not hold the token: the next visit
   // must drain it as a handful of batch frames, not 40 singletons.
@@ -42,8 +41,8 @@ TEST(BatchFormation, VisitCoalescesBacklogIntoBatchFrames) {
     ASSERT_EQ(c.delivered(id).size(), 40u) << "node " << id;
   }
   EXPECT_TRUE(c.check_agreed_order().empty()) << c.check_agreed_order();
-  const double batches = counter_of(c.node(1), "session.batch.attached");
-  const double msgs = counter_of(c.node(1), "session.batch.msgs");
+  const double batches = counter_of(c.session(1), "session.batch.attached");
+  const double msgs = counter_of(c.session(1), "session.batch.msgs");
   EXPECT_EQ(msgs, 40.0);
   EXPECT_GE(batches, 1.0);
   EXPECT_LT(batches, 40.0) << "burst should coalesce, not ship singletons";
@@ -55,9 +54,8 @@ TEST(BatchFormation, ClassFlipClosesTheFrame) {
   // is still exactly enqueue order.
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   c.send(1, "a0", Ordering::kAgreed);
   c.send(1, "a1", Ordering::kAgreed);
@@ -74,16 +72,15 @@ TEST(BatchFormation, ClassFlipClosesTheFrame) {
   }
   EXPECT_TRUE(c.check_agreed_order().empty()) << c.check_agreed_order();
   // One visit saw the whole backlog; the class flips force ≥ 3 frames.
-  EXPECT_GE(counter_of(c.node(1), "session.batch.attached"), 3.0);
+  EXPECT_GE(counter_of(c.session(1), "session.batch.attached"), 3.0);
 }
 
 TEST(BatchFormation, OversizedMessageShipsAlone) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.max_batch_bytes = 64;  // far below the payload below
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   c.send(1, std::string(4096, 'x'));
   c.send(1, "tail");
@@ -100,15 +97,14 @@ TEST(BatchFormation, FlushDeadlineDefersSlivers) {
   cfg.token_hold = millis(2);
   cfg.max_batch_msgs = 32;
   cfg.flush_deadline = millis(60);
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   c.send(1, "sliver");
   // Well under the deadline: several visits pass, none may attach yet.
   c.run(millis(30));
   EXPECT_EQ(c.delivered(1).size(), 0u) << "sliver must defer to fill";
-  EXPECT_GE(counter_of(c.node(1), "session.batch.deferrals"), 1.0);
+  EXPECT_GE(counter_of(c.session(1), "session.batch.deferrals"), 1.0);
   // Past the deadline the sliver must flush even though the batch never
   // filled.
   c.run(seconds(2));
@@ -123,9 +119,8 @@ TEST(BatchFormation, FullBatchFlushesBeforeDeadline) {
   cfg.token_hold = millis(2);
   cfg.max_batch_msgs = 8;
   cfg.flush_deadline = seconds(30);  // absurd: only the fill trigger fires
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   for (int i = 0; i < 8; ++i) c.send(1, "f" + std::to_string(i));
   c.run(seconds(2));
@@ -139,12 +134,11 @@ TEST(BatchFormation, LeavingNodeFlushesDespiteDeadline) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.flush_deadline = seconds(30);
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   c.send(2, "parting");
-  c.node(2).leave();
+  c.session(2).leave();
   c.run(seconds(3));
   for (NodeId id : {1, 3}) {
     ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
@@ -158,13 +152,12 @@ TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(2);
   cfg.max_queue_msgs = 4;
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Without running the loop the queue cannot drain: exactly the first 4
   // are admitted, the rest refuse without consuming sequence numbers.
-  session::SessionNode& n = c.node(1);
+  session::SessionNode& n = c.session(1);
   int accepted = 0, refused = 0;
   std::optional<MsgSeq> last;
   for (int i = 0; i < 10; ++i) {
@@ -196,11 +189,10 @@ TEST(Backpressure, TryMulticastRefusesWhenMsgBoundHit) {
 TEST(Backpressure, TryMulticastRefusesWhenByteBoundHit) {
   session::SessionConfig cfg;
   cfg.max_queue_bytes = 100;
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
-  session::SessionNode& n = c.node(1);
+  session::SessionNode& n = c.session(1);
   EXPECT_TRUE(n.try_multicast(Bytes(60, 'a')).has_value());
   EXPECT_FALSE(n.try_multicast(Bytes(60, 'b')).has_value())
       << "60+60 exceeds the 100-byte bound";
@@ -213,10 +205,9 @@ TEST(Backpressure, OversizedMessageAdmittedIntoEmptyQueue) {
   // byte bound only refuses when the queue is non-empty.
   session::SessionConfig cfg;
   cfg.max_queue_bytes = 100;
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-  EXPECT_TRUE(c.node(1).try_multicast(Bytes(5000, 'x')).has_value());
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
+  EXPECT_TRUE(c.session(1).try_multicast(Bytes(5000, 'x')).has_value());
   c.run(seconds(2));
   for (NodeId id : c.ids()) {
     ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
@@ -228,11 +219,10 @@ TEST(Backpressure, ForceMulticastBypassesBound) {
   // never drop: plain multicast() keeps force-enqueue semantics.
   session::SessionConfig cfg;
   cfg.max_queue_msgs = 2;
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
   for (int i = 0; i < 6; ++i) c.send(1, "f" + std::to_string(i));
-  EXPECT_EQ(c.node(1).pending_out(), 6u);
+  EXPECT_EQ(c.session(1).pending_out(), 6u);
   c.run(seconds(2));
   for (NodeId id : c.ids()) {
     ASSERT_EQ(c.delivered(id).size(), 6u) << "node " << id;
@@ -252,16 +242,15 @@ TEST(BatchingRaces, DeferredMessagesSurviveTokenHolderCrash) {
   cfg.hungry_timeout = millis(400);
   cfg.max_batch_msgs = 64;
   cfg.flush_deadline = millis(250);
-  TestCluster c({1, 2, 3, 4}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Find a moment where some node other than 1 holds the token.
   NodeId victim = 0;
   for (int i = 0; i < 1000 && victim == 0; ++i) {
     c.run(millis(1));
     for (NodeId id : {2, 3, 4}) {
-      if (c.node(id).holds_token()) {
+      if (c.session(id).holds_token()) {
         victim = id;
         break;
       }
@@ -273,8 +262,7 @@ TEST(BatchingRaces, DeferredMessagesSurviveTokenHolderCrash) {
   // holder — the deadline (250 ms) is far beyond the recovery time, so the
   // messages are still deferring when the token dies.
   for (int i = 0; i < 5; ++i) c.send(1, "race" + std::to_string(i));
-  c.net().set_node_up(victim, false);
-  c.node(victim).stop();
+  c.crash(victim);
 
   std::vector<NodeId> survivors;
   for (NodeId id : c.ids()) {

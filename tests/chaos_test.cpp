@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "session/introspect.h"
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore::testing {
 namespace {
@@ -128,12 +128,11 @@ TEST(ChaosMetrics, ReservoirOccupancyIsBoundedAcrossRoundLengths) {
 // --- Observability: ring introspection and the failure report --------------
 
 TEST(RingIntrospection, DumpShowsStateHolderAndMembership) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   session::RingIntrospector ri;
-  for (NodeId id : c.ids()) ri.watch(c.node(id));
+  for (NodeId id : c.ids()) ri.watch(c.session(id));
   EXPECT_EQ(ri.watched(), 3u);
 
   auto caps = ri.capture();
@@ -158,13 +157,12 @@ TEST(RingIntrospection, DumpShowsStateHolderAndMembership) {
 }
 
 TEST(RingIntrospection, StoppedNodeShowsAsDown) {
-  TestCluster c({1, 2});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
-  c.node(2).stop();
+  SimCluster c({1, 2});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  c.session(2).stop();
   session::RingIntrospector ri;
-  ri.watch(c.node(1));
-  ri.watch(c.node(2));
+  ri.watch(c.session(1));
+  ri.watch(c.session(2));
   EXPECT_NE(ri.dump().find("DOWN"), std::string::npos) << ri.dump();
 }
 
@@ -265,15 +263,14 @@ TEST(ChaosEngineTest, MinAliveIsRespected) {
   }
 }
 
-// --- TestCluster opt-in: background chaos for scenario tests ---------------
+// --- SimCluster opt-in: background chaos for scenario tests ---------------
 
 TEST(TestClusterChaos, BackgroundChaosThenHealConverges) {
   std::vector<NodeId> ids{1, 2, 3, 4};
   net::SimNetConfig ncfg;
   ncfg.seed = 21;
-  TestCluster c(ids, {}, ncfg);
-  c.found_all();
-  ASSERT_TRUE(c.run_until_converged(ids, seconds(5)));
+  SimCluster c(ids, {}, ncfg);
+  ASSERT_TRUE(c.bootstrap(seconds(5)));
 
   ChaosConfig cfg;
   cfg.seed = 5;
@@ -283,7 +280,7 @@ TEST(TestClusterChaos, BackgroundChaosThenHealConverges) {
   // Application traffic interleaved with the fault schedule.
   for (int i = 0; i < 60; ++i) {
     for (NodeId id : ids) {
-      auto& n = c.node(id);
+      auto& n = c.session(id);
       if (n.started() && n.view().has(id)) {
         c.send(id, "m" + std::to_string(i));
       }
@@ -299,7 +296,6 @@ TEST(TestClusterChaos, BackgroundChaosThenHealConverges) {
   std::map<NodeId, std::size_t> mark;
   for (NodeId id : ids) mark[id] = c.delivered(id).size();
   c.send(1, "post-heal");
-  Time deadline = c.net().now() + seconds(3);
   auto all_got_it = [&] {
     for (NodeId id : ids) {
       const auto& log = c.delivered(id);
@@ -311,8 +307,7 @@ TEST(TestClusterChaos, BackgroundChaosThenHealConverges) {
     }
     return true;
   };
-  while (c.net().now() < deadline && !all_got_it()) c.run(millis(10));
-  EXPECT_TRUE(all_got_it()) << eng.describe_schedule();
+  EXPECT_TRUE(c.run_until(all_got_it, seconds(3))) << eng.describe_schedule();
 }
 
 }  // namespace

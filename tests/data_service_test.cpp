@@ -4,69 +4,25 @@
 
 #include <memory>
 
-#include "data/lock_manager.h"
-#include "data/replicated_map.h"
-#include "net/sim_network.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
-using data::ChannelMux;
-using data::LockManager;
-using data::ReplicatedMap;
-using session::SessionNode;
+using testing::SimCluster;
+using testing::SimStack;
 
-constexpr data::Channel kMapCh = 1;
-constexpr data::Channel kLockCh = 2;
-
-struct DataNode {
-  std::unique_ptr<SessionNode> session;
-  std::unique_ptr<ChannelMux> mux;
-  std::unique_ptr<ReplicatedMap> map;
-  std::unique_ptr<LockManager> locks;
-};
-
-class DataCluster {
- public:
-  explicit DataCluster(std::vector<NodeId> ids) {
-    session::SessionConfig cfg;
-    cfg.eligible = ids;
-    for (NodeId id : ids) {
-      auto& env = net_.add_node(id);
-      DataNode n;
-      n.session = std::make_unique<SessionNode>(env, cfg);
-      n.mux = std::make_unique<ChannelMux>(*n.session);
-      n.map = std::make_unique<ReplicatedMap>(*n.mux, kMapCh);
-      n.locks = std::make_unique<LockManager>(*n.mux, kLockCh);
-      nodes_[id] = std::move(n);
-    }
-  }
-
-  void bootstrap() {
-    auto it = nodes_.begin();
-    it->second.session->found();
-    NodeId seed = it->first;
-    for (++it; it != nodes_.end(); ++it) it->second.session->join({seed});
-    run(seconds(5));
-  }
-
-  void run(Time d) { net_.loop().run_for(d); }
-  DataNode& node(NodeId id) { return nodes_.at(id); }
-  net::SimNetwork& net() { return net_; }
-  std::vector<NodeId> ids() const {
-    std::vector<NodeId> out;
-    for (auto& [id, n] : nodes_) out.push_back(id);
-    return out;
-  }
-
- private:
-  net::SimNetwork net_;
-  std::map<NodeId, DataNode> nodes_;
-};
+/// Each node runs a ReplicatedMap and a LockManager over its ChannelMux.
+SimCluster data_cluster(std::vector<NodeId> ids) {
+  SimStack stack = SimStack::channels();
+  stack.map_channel = 1;
+  stack.lock_channel = 2;
+  return SimCluster(std::move(ids), {}, {}, stack);
+}
 
 TEST(ReplicatedMapTest, PutPropagatesToAllReplicas) {
-  DataCluster c({1, 2, 3});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap());
   c.node(1).map->put("color", "red");
   c.run(seconds(1));
   for (NodeId id : c.ids()) {
@@ -76,8 +32,8 @@ TEST(ReplicatedMapTest, PutPropagatesToAllReplicas) {
 }
 
 TEST(ReplicatedMapTest, ConcurrentWritersConvergeIdentically) {
-  DataCluster c({1, 2, 3, 4});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap());
   for (int i = 0; i < 10; ++i) {
     for (NodeId id : c.ids()) {
       c.node(id).map->put("k" + std::to_string(i % 3),
@@ -93,8 +49,8 @@ TEST(ReplicatedMapTest, ConcurrentWritersConvergeIdentically) {
 }
 
 TEST(ReplicatedMapTest, EraseReplicates) {
-  DataCluster c({1, 2, 3});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap());
   c.node(1).map->put("tmp", "x");
   c.run(seconds(1));
   c.node(2).map->erase("tmp");
@@ -105,7 +61,7 @@ TEST(ReplicatedMapTest, EraseReplicates) {
 }
 
 TEST(ReplicatedMapTest, JoinerReceivesSnapshot) {
-  DataCluster c({1, 2, 3});
+  SimCluster c = data_cluster({1, 2, 3});
   // Start only nodes 1 and 2; populate; then node 3 joins.
   c.node(1).session->found();
   c.node(2).session->join({1});
@@ -122,7 +78,7 @@ TEST(ReplicatedMapTest, JoinerReceivesSnapshot) {
 }
 
 TEST(ReplicatedMapTest, UpdatesDuringJoinLineariseWithSnapshot) {
-  DataCluster c({1, 2, 3});
+  SimCluster c = data_cluster({1, 2, 3});
   c.node(1).session->found();
   c.node(2).session->join({1});
   c.run(seconds(3));
@@ -139,8 +95,8 @@ TEST(ReplicatedMapTest, UpdatesDuringJoinLineariseWithSnapshot) {
 }
 
 TEST(LockManagerTest, AcquireGrantsAndOwnershipIsVisible) {
-  DataCluster c({1, 2, 3});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap());
   bool granted = false;
   c.node(2).locks->acquire("L", [&](const std::string&) { granted = true; });
   c.run(seconds(1));
@@ -154,8 +110,8 @@ TEST(LockManagerTest, AcquireGrantsAndOwnershipIsVisible) {
 }
 
 TEST(LockManagerTest, ContendersQueueInAgreedOrderAndNeverOverlap) {
-  DataCluster c({1, 2, 3, 4});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap());
   int holders = 0;
   int max_holders = 0;
   std::vector<NodeId> grant_order;
@@ -180,8 +136,8 @@ TEST(LockManagerTest, ContendersQueueInAgreedOrderAndNeverOverlap) {
 }
 
 TEST(LockManagerTest, DeadOwnersLockIsReleasedAndPromoted) {
-  DataCluster c({1, 2, 3});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap());
   c.node(3).locks->acquire("L");
   c.run(seconds(1));
   ASSERT_TRUE(c.node(3).locks->held_by_me("L"));
@@ -190,16 +146,15 @@ TEST(LockManagerTest, DeadOwnersLockIsReleasedAndPromoted) {
   c.run(seconds(1));
   EXPECT_FALSE(granted_to_2);
   // Owner dies; the EPOCH purge must promote node 2 on every replica.
-  c.net().set_node_up(3, false);
-  c.node(3).session->stop();
+  c.crash(3);
   c.run(seconds(5));
   EXPECT_TRUE(granted_to_2) << "waiter was not promoted after owner death";
   EXPECT_EQ(*c.node(1).locks->owner("L"), 2u);
 }
 
 TEST(LockManagerTest, ReleaseOfQueuedRequestWithdrawsIt) {
-  DataCluster c({1, 2});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2});
+  ASSERT_TRUE(c.bootstrap());
   c.node(1).locks->acquire("L");
   c.run(seconds(1));
   bool granted = false;
@@ -214,15 +169,14 @@ TEST(LockManagerTest, ReleaseOfQueuedRequestWithdrawsIt) {
 }
 
 TEST(ReplicatedMapTest, CrashRestartedReplicaResyncsFromScratch) {
-  DataCluster c({1, 2, 3});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap());
   c.node(1).map->put("k", "v1");
   c.run(seconds(1));
   ASSERT_EQ(*c.node(3).map->get("k"), "v1");
 
   // Node 3 crashes; the survivors keep mutating.
-  c.net().set_node_up(3, false);
-  c.node(3).session->stop();
+  c.crash(3);
   c.run(seconds(3));
   c.node(1).map->put("k", "v2");
   c.node(2).map->put("fresh", "x");
@@ -238,15 +192,14 @@ TEST(ReplicatedMapTest, CrashRestartedReplicaResyncsFromScratch) {
 }
 
 TEST(LockManagerTest, CrashRestartedNodeDropsStaleLockTable) {
-  DataCluster c({1, 2});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2});
+  ASSERT_TRUE(c.bootstrap());
   c.node(2).locks->acquire("L");
   c.run(seconds(1));
   ASSERT_TRUE(c.node(2).locks->held_by_me("L"));
 
   // Node 2 dies holding L; node 1's EPOCH purge frees it.
-  c.net().set_node_up(2, false);
-  c.node(2).session->stop();
+  c.crash(2);
   c.run(seconds(3));
   EXPECT_FALSE(c.node(1).locks->owner("L").has_value());
 
@@ -268,8 +221,8 @@ TEST(LockManagerTest, ReacquireWhileReleaseInFlightIsNotGrantedEarly) {
   // section could run before its first section's writes had circulated,
   // and other contenders were starved. Grants must be tied to the request
   // that actually reached the queue head.
-  DataCluster c({1, 2, 3});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap());
   std::vector<std::pair<NodeId, int>> grants;  // (node, observed counter)
   int counter = 0;
   std::function<void(NodeId, int)> loop = [&](NodeId id, int remaining) {
@@ -297,8 +250,8 @@ TEST(ReplicatedMapTest, SplitBrainMergeReconvergesAllReplicas) {
   // §2.4 strategy 2: both halves stay functional through the partition and
   // mutate independently; after the heal the merge reconciliation must leave
   // every replica with the identical table.
-  DataCluster c({1, 2, 3, 4});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap());
   c.node(1).map->put("shared", "before");
   c.run(seconds(1));
   c.net().partition({{1, 2}, {3, 4}});
@@ -328,8 +281,8 @@ TEST(LockManagerTest, SplitBrainMergeReconvergesLockTables) {
   // During the split each half grants the same lock locally (unavoidable
   // under strategy 2); the post-merge epoch must serialise the two owners
   // into one queue that every replica agrees on, and releases must drain it.
-  DataCluster c({1, 2, 3, 4});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap());
   c.net().partition({{1, 2}, {3, 4}});
   c.run(seconds(2));
   int grants_left = 0, grants_right = 0;
@@ -364,8 +317,8 @@ TEST(LockManagerTest, SplitBrainMergeReconvergesLockTables) {
 }
 
 TEST(LockManagerTest, ManyLocksIndependent) {
-  DataCluster c({1, 2, 3});
-  c.bootstrap();
+  SimCluster c = data_cluster({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap());
   for (int i = 0; i < 10; ++i) {
     c.node(1 + (i % 3)).locks->acquire("lock-" + std::to_string(i));
   }

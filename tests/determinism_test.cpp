@@ -6,27 +6,27 @@
 
 #include <sstream>
 
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
-using testing::TestCluster;
+using testing::SimCluster;
 
 std::string run_scenario(std::uint64_t seed) {
   net::SimNetConfig ncfg;
   ncfg.seed = seed;
   ncfg.default_drop = 0.02;
   std::vector<NodeId> ids = {1, 2, 3, 4};
-  TestCluster c(ids, {}, ncfg);
-  c.bootstrap_via_join();
+  SimCluster c(ids, {}, ncfg);
+  c.session(1).found();
+  for (NodeId id : {2, 3, 4}) c.session(id).join({1});
   c.run(seconds(5));
   for (int i = 0; i < 10; ++i) {
     c.send(1 + (i % 4), "m" + std::to_string(i));
     c.run(millis(20));
   }
-  c.net().set_node_up(3, false);
-  c.node(3).stop();
+  c.crash(3);
   c.run(seconds(3));
   c.send(1, "post");
   c.run(seconds(2));
@@ -34,11 +34,11 @@ std::string run_scenario(std::uint64_t seed) {
   // Serialise the observable history of node 2.
   std::ostringstream os;
   os << "view:";
-  for (NodeId n : c.node(2).view().members) os << n << ",";
-  os << " seq:" << c.node(2).last_copy().seq;
+  for (NodeId n : c.session(2).view().members) os << n << ",";
+  os << " seq:" << c.session(2).last_copy().seq;
   os << " deliveries:";
   for (const auto& d : c.delivered(2)) os << d.origin << ":" << d.payload << ";";
-  os << " rx:" << c.node(2).stats().tokens_received.value();
+  os << " rx:" << c.session(2).stats().tokens_received.value();
   os << " pkts:" << c.net().totals().pkts_sent.value();
   return os.str();
 }

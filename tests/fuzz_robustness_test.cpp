@@ -4,19 +4,18 @@
 #include <gtest/gtest.h>
 
 #include "session/messages.h"
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
-using testing::TestCluster;
+using testing::SimCluster;
 
 class FuzzRobustness : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzRobustness, RandomDatagramsDoNotCrashOrWedgeTheGroup) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Node 9 does not exist in the cluster; we impersonate it by injecting
   // raw datagrams from an extra endpoint.
@@ -42,16 +41,15 @@ TEST_P(FuzzRobustness, RandomDatagramsDoNotCrashOrWedgeTheGroup) {
 }
 
 TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
-  TestCluster c({1, 2});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
+  SimCluster c({1, 2});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Build VALID transport frames whose session payloads are truncated
   // protocol messages — the hardest case for the parsers.
   auto& evil = c.net().add_node(9);
   Rng rng(GetParam() ^ 0xfu);
 
-  session::Token t = c.node(1).last_copy();
+  session::Token t = c.session(1).last_copy();
   std::vector<Slice> valid = {
       session::encode_token_msg(t),
       session::encode_911(session::Msg911{9, 1, 99999}),
@@ -79,13 +77,12 @@ TEST_P(FuzzRobustness, TruncatedProtocolMessagesAreRejected) {
 }
 
 TEST_P(FuzzRobustness, BitFlippedTokensAreHandled) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   auto& evil = c.net().add_node(9);
   Rng rng(GetParam() * 31);
   for (int i = 0; i < 300; ++i) {
-    Bytes msg = session::encode_token_msg(c.node(1).last_copy()).to_bytes();
+    Bytes msg = session::encode_token_msg(c.session(1).last_copy()).to_bytes();
     // Flip a few random bits.
     for (int k = 0; k < 4; ++k) {
       msg[rng.next_below(msg.size())] ^=

@@ -3,15 +3,13 @@
 // delivery, and behaviour when a whole ring dies.
 #include <gtest/gtest.h>
 
-#include "net/sim_network.h"
-#include "session/hierarchical.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
-using session::HierarchicalNode;
 using session::HierarchyConfig;
-using session::HierarchyHarness;
+using testing::SimCluster;
 
 HierarchyConfig three_rings() {
   HierarchyConfig cfg;
@@ -19,105 +17,47 @@ HierarchyConfig three_rings() {
   return cfg;
 }
 
-struct Fixture {
-  explicit Fixture(HierarchyConfig cfg, net::SimNetConfig ncfg = {})
-      : net(ncfg), h(net, std::move(cfg)) {
-    for (NodeId id : h.all_ids()) {
-      h.node(id).set_deliver_handler(
-          [this, id](NodeId origin, const Slice& payload) {
-            log[id].emplace_back(origin,
-                                 std::string(payload.begin(), payload.end()));
-          });
-    }
-  }
-
-  bool run_until(std::function<bool()> cond, Time timeout) {
-    Time deadline = net.now() + timeout;
-    while (net.now() < deadline) {
-      if (cond()) return true;
-      net.loop().run_for(millis(20));
-    }
-    return cond();
-  }
-
-  bool locally_converged() {
-    for (const auto& ring : h.config().rings) {
-      for (NodeId n : ring) {
-        if (h.node(n).local_view().members.size() != ring.size()) return false;
-      }
-    }
-    return true;
-  }
-
-  bool globally_connected(std::size_t n_rings) {
-    std::size_t leaders = 0;
-    for (NodeId id : h.all_ids()) {
-      if (h.node(id).is_leader()) {
-        ++leaders;
-        if (h.node(id).global_view().members.size() != n_rings) return false;
-      }
-    }
-    return leaders == n_rings;
-  }
-
-  void send(NodeId from, const std::string& s) {
-    h.node(from).multicast(Bytes(s.begin(), s.end()));
-  }
-
-  int count_delivered(NodeId at, const std::string& s) {
-    int c = 0;
-    for (auto& [o, p] : log[at]) {
-      if (p == s) ++c;
-    }
-    return c;
-  }
-
-  net::SimNetwork net;
-  HierarchyHarness h;
-  std::map<NodeId, std::vector<std::pair<NodeId, std::string>>> log;
-};
+int count_delivered(SimCluster& c, NodeId at, const std::string& s) {
+  int n = 0;
+  for (const auto& d : c.delivered(at)) n += d.payload == s;
+  return n;
+}
 
 TEST(HierarchicalTest, RingsFormAndLeadersConnect) {
-  Fixture f(three_rings());
-  f.h.start_all();
-  ASSERT_TRUE(f.run_until([&] { return f.locally_converged(); }, seconds(20)));
-  ASSERT_TRUE(f.run_until([&] { return f.globally_connected(3); }, seconds(20)));
+  SimCluster c(three_rings());
+  ASSERT_TRUE(c.bootstrap(seconds(40)));
   // Leaders are the lowest ids of each ring.
-  EXPECT_TRUE(f.h.node(1).is_leader());
-  EXPECT_TRUE(f.h.node(11).is_leader());
-  EXPECT_TRUE(f.h.node(21).is_leader());
-  EXPECT_FALSE(f.h.node(2).is_leader());
+  EXPECT_TRUE(c.node(1).hier->is_leader());
+  EXPECT_TRUE(c.node(11).hier->is_leader());
+  EXPECT_TRUE(c.node(21).hier->is_leader());
+  EXPECT_FALSE(c.node(2).hier->is_leader());
 }
 
 TEST(HierarchicalTest, CrossRingMulticastReachesEveryoneExactlyOnce) {
-  Fixture f(three_rings());
-  f.h.start_all();
-  ASSERT_TRUE(f.run_until([&] { return f.locally_converged(); }, seconds(20)));
-  ASSERT_TRUE(f.run_until([&] { return f.globally_connected(3); }, seconds(20)));
+  SimCluster c(three_rings());
+  ASSERT_TRUE(c.bootstrap(seconds(40)));
 
-  f.send(12, "from-ring-1");
-  f.send(2, "from-ring-0");
-  f.net.loop().run_for(seconds(3));
+  c.send(12, "from-ring-1");
+  c.send(2, "from-ring-0");
+  c.run(seconds(3));
 
-  for (NodeId id : f.h.all_ids()) {
-    EXPECT_EQ(f.count_delivered(id, "from-ring-1"), 1) << "node " << id;
-    EXPECT_EQ(f.count_delivered(id, "from-ring-0"), 1) << "node " << id;
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(count_delivered(c, id, "from-ring-1"), 1) << "node " << id;
+    EXPECT_EQ(count_delivered(c, id, "from-ring-0"), 1) << "node " << id;
   }
 }
 
 TEST(HierarchicalTest, FifoPerOriginAcrossRings) {
-  Fixture f(three_rings());
-  f.h.start_all();
-  ASSERT_TRUE(f.run_until([&] { return f.locally_converged(); }, seconds(20)));
-  ASSERT_TRUE(f.run_until([&] { return f.globally_connected(3); }, seconds(20)));
+  SimCluster c(three_rings());
+  ASSERT_TRUE(c.bootstrap(seconds(40)));
 
-  for (int i = 0; i < 10; ++i) f.send(13, "seq-" + std::to_string(i));
-  f.net.loop().run_for(seconds(5));
+  for (int i = 0; i < 10; ++i) c.send(13, "seq-" + std::to_string(i));
+  c.run(seconds(5));
 
-  for (NodeId id : f.h.all_ids()) {
+  for (NodeId id : c.ids()) {
     std::vector<std::string> from13;
-    for (auto& [o, p] : f.log[id]) {
-      if (o == 13) from13.push_back(p);
+    for (const auto& d : c.delivered(id)) {
+      if (d.origin == 13) from13.push_back(d.payload);
     }
     ASSERT_EQ(from13.size(), 10u) << "node " << id;
     for (int i = 0; i < 10; ++i) {
@@ -127,52 +67,47 @@ TEST(HierarchicalTest, FifoPerOriginAcrossRings) {
 }
 
 TEST(HierarchicalTest, LeaderFailoverElectsNextAndBridgesAgain) {
-  Fixture f(three_rings());
-  f.h.start_all();
-  ASSERT_TRUE(f.run_until([&] { return f.locally_converged(); }, seconds(20)));
-  ASSERT_TRUE(f.run_until([&] { return f.globally_connected(3); }, seconds(20)));
+  SimCluster c(three_rings());
+  ASSERT_TRUE(c.bootstrap(seconds(40)));
 
   // Kill ring 0's leader (node 1) — one endpoint carries both rings now.
-  f.net.set_node_up(1, false);
-  f.h.node(1).stop();
+  c.crash(1);
 
-  ASSERT_TRUE(f.run_until([&] { return f.h.node(2).is_leader(); }, seconds(20)))
+  ASSERT_TRUE(
+      c.run_until([&] { return c.node(2).hier->is_leader(); }, seconds(20)))
       << "next-lowest member did not take over leadership";
-  ASSERT_TRUE(f.run_until(
-      [&] { return f.h.node(2).global_view().members.size() == 3; },
+  ASSERT_TRUE(c.run_until(
+      [&] { return c.node(2).hier->global_view().members.size() == 3; },
       seconds(30)))
       << "new leader did not join the global ring";
 
   // Cross-ring traffic flows again.
-  f.send(22, "after-failover");
-  f.net.loop().run_for(seconds(5));
+  c.send(22, "after-failover");
+  c.run(seconds(5));
   for (NodeId id : {2u, 3u, 11u, 12u, 13u, 21u, 22u, 23u}) {
-    EXPECT_EQ(f.count_delivered(id, "after-failover"), 1) << "node " << id;
+    EXPECT_EQ(count_delivered(c, id, "after-failover"), 1) << "node " << id;
   }
 }
 
 TEST(HierarchicalTest, WholeRingDeathLeavesOthersWorking) {
-  Fixture f(three_rings());
-  f.h.start_all();
-  ASSERT_TRUE(f.run_until([&] { return f.locally_converged(); }, seconds(20)));
-  ASSERT_TRUE(f.run_until([&] { return f.globally_connected(3); }, seconds(20)));
+  SimCluster c(three_rings());
+  ASSERT_TRUE(c.bootstrap(seconds(40)));
 
   for (NodeId n : {11u, 12u, 13u}) {
-    f.net.set_node_up(n, false);
-    f.h.node(n).stop();
+    c.crash(n);
   }
   // Remaining leaders reconverge to a 2-member global ring.
-  ASSERT_TRUE(f.run_until(
+  ASSERT_TRUE(c.run_until(
       [&] {
-        return f.h.node(1).global_view().members.size() == 2 &&
-               f.h.node(21).global_view().members.size() == 2;
+        return c.node(1).hier->global_view().members.size() == 2 &&
+               c.node(21).hier->global_view().members.size() == 2;
       },
       seconds(30)));
 
-  f.send(3, "two-rings-left");
-  f.net.loop().run_for(seconds(3));
+  c.send(3, "two-rings-left");
+  c.run(seconds(3));
   for (NodeId id : {1u, 2u, 3u, 21u, 22u, 23u}) {
-    EXPECT_EQ(f.count_delivered(id, "two-rings-left"), 1) << "node " << id;
+    EXPECT_EQ(count_delivered(c, id, "two-rings-left"), 1) << "node " << id;
   }
 }
 
@@ -183,14 +118,12 @@ TEST(HierarchicalTest, ScalesToManyRings) {
     for (NodeId k = 1; k <= 4; ++k) ring.push_back(r * 100 + k);
     cfg.rings.push_back(ring);
   }
-  Fixture f(cfg);
-  f.h.start_all();
-  ASSERT_TRUE(f.run_until([&] { return f.locally_converged(); }, seconds(40)));
-  ASSERT_TRUE(f.run_until([&] { return f.globally_connected(6); }, seconds(40)));
-  f.send(304, "hello-24-nodes");
-  f.net.loop().run_for(seconds(5));
-  for (NodeId id : f.h.all_ids()) {
-    EXPECT_EQ(f.count_delivered(id, "hello-24-nodes"), 1) << "node " << id;
+  SimCluster c(cfg);
+  ASSERT_TRUE(c.bootstrap(seconds(80)));
+  c.send(304, "hello-24-nodes");
+  c.run(seconds(5));
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(count_delivered(c, id, "hello-24-nodes"), 1) << "node " << id;
   }
 }
 

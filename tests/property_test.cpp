@@ -12,13 +12,13 @@
 //   I5  Mutual exclusion: exclusive sections never overlap.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
-using testing::TestCluster;
+using testing::SimCluster;
 
 struct Params {
   std::size_t nodes;
@@ -36,29 +36,21 @@ std::string param_name(const ::testing::TestParamInfo<Params>& info) {
 
 class SessionProperty : public ::testing::TestWithParam<Params> {
  protected:
-  std::unique_ptr<TestCluster> make_cluster() {
+  std::unique_ptr<SimCluster> make_cluster() {
     const Params& p = GetParam();
     net::SimNetConfig ncfg;
     ncfg.default_drop = p.drop;
     ncfg.seed = p.seed;
     session::SessionConfig scfg;
     scfg.hungry_timeout = millis(1200);
-    std::vector<NodeId> ids;
-    for (NodeId i = 1; i <= p.nodes; ++i) ids.push_back(i);
-    return std::make_unique<TestCluster>(ids, scfg, ncfg);
-  }
-
-  std::vector<NodeId> all_ids() {
-    std::vector<NodeId> ids;
-    for (NodeId i = 1; i <= GetParam().nodes; ++i) ids.push_back(i);
-    return ids;
+    return std::make_unique<SimCluster>(testing::node_ids(p.nodes), scfg,
+                                        ncfg);
   }
 };
 
 TEST_P(SessionProperty, AgreedOrderIdenticalEverywhere) {
   auto c = make_cluster();
-  c->bootstrap_via_join();
-  ASSERT_TRUE(c->run_until_converged(all_ids(), seconds(60)));
+  ASSERT_TRUE(c->bootstrap_via_join(seconds(60)));
   Rng rng(GetParam().seed);
   for (int i = 0; i < 40; ++i) {
     NodeId from = 1 + static_cast<NodeId>(rng.next_below(GetParam().nodes));
@@ -67,20 +59,19 @@ TEST_P(SessionProperty, AgreedOrderIdenticalEverywhere) {
   }
   c->run(seconds(10));
   EXPECT_TRUE(c->check_agreed_order().empty()) << c->check_agreed_order();
-  for (NodeId id : all_ids()) {
+  for (NodeId id : c->ids()) {
     EXPECT_EQ(c->delivered(id).size(), 40u) << "node " << id;  // I4
   }
 }
 
 TEST_P(SessionProperty, AtMostOneTokenHolderSampled) {
   auto c = make_cluster();
-  c->bootstrap_via_join();
-  ASSERT_TRUE(c->run_until_converged(all_ids(), seconds(60)));
+  ASSERT_TRUE(c->bootstrap_via_join(seconds(60)));
   for (int step = 0; step < 500; ++step) {
     c->run(millis(1));
     int holders = 0;
-    for (NodeId id : all_ids()) {
-      if (c->node(id).holds_token()) ++holders;
+    for (NodeId id : c->ids()) {
+      if (c->session(id).holds_token()) ++holders;
     }
     ASSERT_LE(holders, 1) << "two EATING nodes at step " << step;  // I2
   }
@@ -88,15 +79,13 @@ TEST_P(SessionProperty, AtMostOneTokenHolderSampled) {
 
 TEST_P(SessionProperty, ConvergesAfterRandomKill) {
   auto c = make_cluster();
-  c->bootstrap_via_join();
-  ASSERT_TRUE(c->run_until_converged(all_ids(), seconds(60)));
+  ASSERT_TRUE(c->bootstrap_via_join(seconds(60)));
   Rng rng(GetParam().seed * 31);
   c->run(millis(rng.next_below(200)));
   NodeId victim = 1 + static_cast<NodeId>(rng.next_below(GetParam().nodes));
-  c->net().set_node_up(victim, false);
-  c->node(victim).stop();
+  c->crash(victim);
   std::vector<NodeId> survivors;
-  for (NodeId id : all_ids()) {
+  for (NodeId id : c->ids()) {
     if (id != victim) survivors.push_back(id);
   }
   EXPECT_TRUE(c->run_until_converged(survivors, seconds(30)));  // I3
@@ -104,7 +93,7 @@ TEST_P(SessionProperty, ConvergesAfterRandomKill) {
   c->run(seconds(1));
   int regens = 0;
   for (NodeId id : survivors) {
-    regens += static_cast<int>(c->node(id).stats().regenerations.value());
+    regens += static_cast<int>(c->session(id).stats().regenerations.value());
   }
   EXPECT_LE(regens, 1);
 }
@@ -113,8 +102,7 @@ TEST_P(SessionProperty, MixedOrderingClassesShareOneTotalOrder) {
   // Agreed and safe messages interleave into a single total order at every
   // node (Totem-style holdback; see process_attached).
   auto c = make_cluster();
-  c->bootstrap_via_join();
-  ASSERT_TRUE(c->run_until_converged(all_ids(), seconds(60)));
+  ASSERT_TRUE(c->bootstrap_via_join(seconds(60)));
   Rng rng(GetParam().seed * 7);
   for (int i = 0; i < 24; ++i) {
     NodeId from = 1 + static_cast<NodeId>(rng.next_below(GetParam().nodes));
@@ -124,20 +112,19 @@ TEST_P(SessionProperty, MixedOrderingClassesShareOneTotalOrder) {
   }
   c->run(seconds(15));
   EXPECT_TRUE(c->check_agreed_order().empty()) << c->check_agreed_order();
-  for (NodeId id : all_ids()) {
+  for (NodeId id : c->ids()) {
     EXPECT_EQ(c->delivered(id).size(), 24u) << "node " << id;
   }
 }
 
 TEST_P(SessionProperty, ExclusiveSectionsNeverOverlap) {
   auto c = make_cluster();
-  c->bootstrap_via_join();
-  ASSERT_TRUE(c->run_until_converged(all_ids(), seconds(60)));
+  ASSERT_TRUE(c->bootstrap_via_join(seconds(60)));
   int active = 0, max_active = 0, total = 0;
   Rng rng(GetParam().seed * 97);
   for (int i = 0; i < 30; ++i) {
     NodeId at = 1 + static_cast<NodeId>(rng.next_below(GetParam().nodes));
-    c->node(at).run_exclusive([&] {
+    c->session(at).run_exclusive([&] {
       ++active;
       max_active = std::max(max_active, active);
       ++total;
@@ -175,9 +162,8 @@ TEST_P(SessionChaos, SurvivesAndConverges) {
   session::SessionConfig scfg;
   scfg.hungry_timeout = millis(1000);
   std::vector<NodeId> ids = {1, 2, 3, 4, 5, 6};
-  TestCluster c(ids, scfg, ncfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
+  SimCluster c(ids, scfg, ncfg);
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(60)));
 
   Rng rng(seed * 1337);
   std::set<NodeId> down;
@@ -186,7 +172,7 @@ TEST_P(SessionChaos, SurvivesAndConverges) {
     // Random multicasts from live nodes.
     for (int k = 0; k < 3; ++k) {
       NodeId from = ids[rng.next_below(ids.size())];
-      if (down.count(from) == 0 && c.node(from).started()) {
+      if (down.count(from) == 0 && c.session(from).started()) {
         c.send(from, "chaos-" + std::to_string(msg++));
       }
     }
@@ -196,8 +182,7 @@ TEST_P(SessionChaos, SurvivesAndConverges) {
         if (down.size() + 2 < ids.size()) {
           NodeId victim = ids[rng.next_below(ids.size())];
           if (down.count(victim) == 0) {
-            c.net().set_node_up(victim, false);
-            c.node(victim).stop();
+            c.crash(victim);
             down.insert(victim);
           }
         }
@@ -212,7 +197,7 @@ TEST_P(SessionChaos, SurvivesAndConverges) {
           for (NodeId id : ids) {
             if (down.count(id) == 0 && id != back) contacts.push_back(id);
           }
-          if (!contacts.empty()) c.node(back).join(contacts);
+          if (!contacts.empty()) c.session(back).join(contacts);
         }
         break;
       }
@@ -232,12 +217,12 @@ TEST_P(SessionChaos, SurvivesAndConverges) {
   c.net().heal_partition();
   for (NodeId back : down) {
     c.net().set_node_up(back, true);
-    if (!c.node(back).started()) {
+    if (!c.session(back).started()) {
       std::vector<NodeId> contacts;
       for (NodeId id : ids) {
         if (id != back) contacts.push_back(id);
       }
-      c.node(back).join(contacts);
+      c.session(back).join(contacts);
     }
   }
   EXPECT_TRUE(c.run_until_converged(ids, seconds(120)))
@@ -296,12 +281,6 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
   static constexpr std::size_t kNodes = 4;
   static constexpr int kMsgs = 60;
 
-  std::vector<NodeId> all_ids() {
-    std::vector<NodeId> ids;
-    for (NodeId i = 1; i <= kNodes; ++i) ids.push_back(i);
-    return ids;
-  }
-
   session::SessionConfig knob_config() {
     const BatchParams& p = GetParam();
     session::SessionConfig cfg;
@@ -315,7 +294,7 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
   /// Deterministic mixed-class schedule with random payload sizes; payload
   /// prefix "o<origin>-i<index>:" lets any observer reconstruct per-origin
   /// send order.
-  void run_schedule(TestCluster& c, std::uint64_t seed) {
+  void run_schedule(SimCluster& c, std::uint64_t seed) {
     Rng rng(seed * 101);
     std::map<NodeId, int> next_idx;
     for (int i = 0; i < kMsgs; ++i) {
@@ -331,8 +310,8 @@ class BatchingProperty : public ::testing::TestWithParam<BatchParams> {
   }
 
   /// B2: per-origin delivered indices are exactly 0,1,2,... at every node.
-  void check_per_origin_fifo(TestCluster& c) {
-    for (NodeId id : all_ids()) {
+  void check_per_origin_fifo(SimCluster& c) {
+    for (NodeId id : c.ids()) {
       std::map<NodeId, int> expect;
       for (const testing::Delivery& d : c.delivered(id)) {
         const std::string& s = d.payload;
@@ -354,10 +333,9 @@ TEST_P(BatchingProperty, TotalOrderAndExactlyOnceUnderAnyKnobs) {
   net::SimNetConfig ncfg;
   ncfg.default_drop = p.drop;
   ncfg.seed = p.seed;
-  std::vector<NodeId> ids = all_ids();
-  TestCluster c(ids, knob_config(), ncfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
+  std::vector<NodeId> ids = testing::node_ids(kNodes);
+  SimCluster c(ids, knob_config(), ncfg);
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(60)));
 
   run_schedule(c, p.seed);
 
@@ -377,9 +355,9 @@ TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
   // interleaving may legally differ (attach timing shifts), which is why
   // the comparison is per-origin, not positional.
   const BatchParams& p = GetParam();
-  std::vector<NodeId> ids = all_ids();
+  std::vector<NodeId> ids = testing::node_ids(kNodes);
 
-  auto origin_streams = [&](TestCluster& c) {
+  auto origin_streams = [&](SimCluster& c) {
     // node -> origin -> payload prefixes in delivery order.
     std::map<NodeId, std::map<NodeId, std::vector<std::string>>> out;
     for (NodeId id : ids) {
@@ -396,15 +374,13 @@ TEST_P(BatchingProperty, KnobsPreserveUnbatchedDeliverySemantics) {
 
   session::SessionConfig reference;  // defaults = pre-batching behaviour
   reference.hungry_timeout = millis(1200);
-  TestCluster ref(ids, reference, ncfg);
-  ref.bootstrap_via_join();
-  ASSERT_TRUE(ref.run_until_converged(ids, seconds(60)));
+  SimCluster ref(ids, reference, ncfg);
+  ASSERT_TRUE(ref.bootstrap_via_join(seconds(60)));
   run_schedule(ref, p.seed);
   ASSERT_TRUE(ref.check_agreed_order().empty());
 
-  TestCluster knobbed(ids, knob_config(), ncfg);
-  knobbed.bootstrap_via_join();
-  ASSERT_TRUE(knobbed.run_until_converged(ids, seconds(60)));
+  SimCluster knobbed(ids, knob_config(), ncfg);
+  ASSERT_TRUE(knobbed.bootstrap_via_join(seconds(60)));
   run_schedule(knobbed, p.seed);
   ASSERT_TRUE(knobbed.check_agreed_order().empty());
 
@@ -420,17 +396,16 @@ TEST_P(BatchingProperty, BoundedQueueHoldsUnderTryOnlyProducers) {
   session::SessionConfig cfg = knob_config();
   constexpr std::size_t kCap = 8;
   cfg.max_queue_msgs = kCap;
-  std::vector<NodeId> ids = all_ids();
-  TestCluster c(ids, cfg, ncfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged(ids, seconds(60)));
+  std::vector<NodeId> ids = testing::node_ids(kNodes);
+  SimCluster c(ids, cfg, ncfg);
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(60)));
 
   // Offered load far above one visit's drain budget, admission via
   // try_multicast only: the queue must never exceed the cap (B3), refusals
   // must not burn sequence numbers, and every admitted message must still
   // deliver exactly once everywhere.
   Rng rng(p.seed * 13);
-  session::SessionNode& producer = c.node(1);
+  session::SessionNode& producer = c.session(1);
   std::size_t accepted = 0, refused = 0;
   for (int i = 0; i < 400; ++i) {
     std::string s = "t" + std::to_string(i);
@@ -444,7 +419,7 @@ TEST_P(BatchingProperty, BoundedQueueHoldsUnderTryOnlyProducers) {
   }
   EXPECT_GT(refused, 0u) << "offered load should have hit backpressure";
   c.run(seconds(30));
-  EXPECT_EQ(c.node(1).pending_out(), 0u);
+  EXPECT_EQ(c.session(1).pending_out(), 0u);
   for (NodeId id : ids) {
     EXPECT_EQ(c.delivered(id).size(), accepted) << "node " << id;
   }

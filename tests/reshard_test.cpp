@@ -11,8 +11,6 @@
 #include <set>
 #include <string>
 
-#include "data/reshard.h"
-#include "net/sim_network.h"
 #include "testing/chaos_cluster.h"
 
 namespace raincore {
@@ -20,13 +18,10 @@ namespace {
 
 using data::RangeId;
 using data::RangeState;
-using data::ReshardConfig;
-using data::ReshardManager;
-using data::ShardedDataPlane;
-using data::ShardedLockManager;
-using data::ShardedMap;
 using data::ShardRouter;
 using data::VersionedRouter;
+using testing::SimCluster;
+using testing::SimStack;
 
 // --- VersionedRouter properties ---------------------------------------------
 
@@ -118,122 +113,69 @@ TEST(VersionedRouterTest, ReadRouteFallsBackToOldOwnerDuringWindow) {
   EXPECT_TRUE(saw_moved);
 }
 
-// --- Live migration fixture --------------------------------------------------
+// --- Live migration cluster -------------------------------------------------
 
-constexpr data::Channel kMapChannel = 1;
-constexpr data::Channel kLockChannel = 2;
+/// Map on channel 1 and locks on channel 2 of every shard, resizable from an
+/// epoch-0 table of two shards; durable when `root` is set.
+SimCluster reshard_cluster(std::size_t n_nodes, std::size_t shards,
+                           std::string root = {}) {
+  SimStack stack = SimStack::sharded(shards);
+  stack.map_channel = 1;
+  stack.lock_channel = 2;
+  stack.reshard_from = 2;
+  stack.storage.dir = std::move(root);
+  return SimCluster(testing::node_ids(n_nodes), {}, {}, stack);
+}
 
-struct ReshardFixture {
-  explicit ReshardFixture(std::size_t n_nodes, std::size_t shards,
-                          std::string storage_root = {}) {
-    for (std::size_t i = 1; i <= n_nodes; ++i) {
-      ids.push_back(static_cast<NodeId>(i));
-    }
-    scfg.eligible = ids;
-    for (NodeId id : ids) add_stack(id, shards, storage_root);
+/// Runs the sim, ticking every reshard manager, until pred or timeout.
+bool run_ticking(SimCluster& c, const std::function<bool()>& pred,
+                 Time timeout = seconds(30)) {
+  return c.run_until(
+      [&] {
+        for (NodeId id : c.ids()) c.node(id).mgr->tick();
+        return pred();
+      },
+      timeout);
+}
+
+bool resize_settled(SimCluster& c, std::size_t new_k, std::uint64_t epoch) {
+  for (NodeId id : c.ids()) {
+    const SimCluster::Node& n = c.node(id);
+    if (n.mgr->migrating() || n.mgr->epoch() != epoch) return false;
+    if (n.plane->shard_count() != new_k) return false;
   }
-
-  void add_stack(NodeId id, std::size_t shards,
-                 const std::string& storage_root) {
-    auto& env = net.add_node(id);
-    auto st = std::make_unique<Stack>();
-    storage::StorageConfig sc;
-    if (!storage_root.empty()) {
-      sc.dir = storage_root + "/node" + std::to_string(id);
-    }
-    st->mux = std::make_unique<session::SessionMux>(env, scfg.transport);
-    st->plane =
-        std::make_unique<ShardedDataPlane>(*st->mux, shards, scfg, 0, sc);
-    st->map = std::make_unique<ShardedMap>(*st->plane, kMapChannel);
-    st->locks = std::make_unique<ShardedLockManager>(*st->plane, kLockChannel);
-    ReshardConfig rcfg;
-    rcfg.initial_shards = 2;
-    st->mgr = std::make_unique<ReshardManager>(*st->plane, *st->map,
-                                               *st->locks, rcfg);
-    stacks[id] = std::move(st);
-  }
-
-  bool converge(Time timeout = seconds(20)) {
-    for (auto& [id, st] : stacks) {
-      if (st->plane->durable()) {
-        st->plane->open_storage();
-        st->plane->recover_storage();
-        st->mgr->after_recovery();
-      }
-      st->plane->found_all();
-    }
-    return run_until([&] {
-      for (auto& [id, st] : stacks) {
-        if (!st->plane->all_converged(ids.size())) return false;
-      }
-      return true;
-    }, timeout);
-  }
-
-  /// Runs the sim, ticking every reshard manager, until pred or timeout.
-  template <typename Pred>
-  bool run_until(Pred pred, Time timeout = seconds(30)) {
-    const Time deadline = net.now() + timeout;
-    while (net.now() < deadline) {
-      if (pred()) return true;
-      net.loop().run_for(millis(10));
-      for (auto& [id, st] : stacks) st->mgr->tick();
-    }
-    return pred();
-  }
-
-  bool resize_settled(std::size_t new_k, std::uint64_t epoch) {
-    for (auto& [id, st] : stacks) {
-      if (st->mgr->migrating() || st->mgr->epoch() != epoch) return false;
-      if (st->plane->shard_count() != new_k) return false;
-      if (!st->plane->all_converged(ids.size())) return false;
-      if (!st->map->synced()) return false;
-    }
-    return true;
-  }
-
-  struct Stack {
-    std::unique_ptr<session::SessionMux> mux;
-    std::unique_ptr<ShardedDataPlane> plane;
-    std::unique_ptr<ShardedMap> map;
-    std::unique_ptr<ShardedLockManager> locks;
-    std::unique_ptr<ReshardManager> mgr;
-  };
-  net::SimNetwork net;
-  session::SessionConfig scfg;
-  std::vector<NodeId> ids;
-  std::map<NodeId, std::unique_ptr<Stack>> stacks;
-};
+  return c.converged(c.ids());
+}
 
 TEST(ReshardLiveTest, ResizeMovesEveryKeyToItsNewHome) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  SimCluster f = reshard_cluster(3, 2);
+  ASSERT_TRUE(f.bootstrap(seconds(20)));
 
   const int kKeys = 80;
   for (int i = 0; i < kKeys; ++i) {
-    NodeId w = f.ids[static_cast<std::size_t>(i) % f.ids.size()];
-    f.stacks.at(w)->map->put("mk" + std::to_string(i), "v" + std::to_string(i));
+    NodeId w = f.ids()[static_cast<std::size_t>(i) % f.ids().size()];
+    f.node(w).smap->put("mk" + std::to_string(i), "v" + std::to_string(i));
   }
-  ASSERT_TRUE(f.run_until([&] {
-    for (auto& [id, st] : f.stacks) {
-      if (!st->map->synced() ||
-          st->map->size() != static_cast<std::size_t>(kKeys)) {
+  ASSERT_TRUE(run_ticking(f, [&] {
+    for (NodeId id : f.ids()) {
+      if (!f.node(id).smap->synced() ||
+          f.node(id).smap->size() != static_cast<std::size_t>(kKeys)) {
         return false;
       }
     }
     return true;
   }));
 
-  f.stacks.at(1)->mgr->start_resize(4);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }))
+  f.node(1).mgr->start_resize(4);
+  ASSERT_TRUE(run_ticking(f, [&] { return resize_settled(f, 4, 1); }))
       << "migration never settled";
 
   const ShardRouter target(4);
   for (int i = 0; i < kKeys; ++i) {
     std::string key = "mk" + std::to_string(i);
     const std::size_t home = target.shard_of(key);
-    for (NodeId id : f.ids) {
-      auto& m = *f.stacks.at(id)->map;
+    for (NodeId id : f.ids()) {
+      auto& m = *f.node(id).smap;
       auto v = m.get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " lost " << key;
       EXPECT_EQ(*v, "v" + std::to_string(i));
@@ -248,8 +190,8 @@ TEST(ReshardLiveTest, ResizeMovesEveryKeyToItsNewHome) {
 }
 
 TEST(ReshardLiveTest, WritesDuringTheWindowAreAllServed) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  SimCluster f = reshard_cluster(3, 2);
+  ASSERT_TRUE(f.bootstrap(seconds(20)));
 
   // Single writer per key (cross-epoch multi-writer races resolve by LWW,
   // documented in DESIGN.md §5j); the writer overwrites its keys while the
@@ -260,37 +202,37 @@ TEST(ReshardLiveTest, WritesDuringTheWindowAreAllServed) {
   auto write_round = [&] {
     ++round;
     for (int i = 0; i < 40; ++i) {
-      NodeId w = f.ids[static_cast<std::size_t>(i) % f.ids.size()];
+      NodeId w = f.ids()[static_cast<std::size_t>(i) % f.ids().size()];
       std::string key = "wk" + std::to_string(i);
       std::string val = "r" + std::to_string(round);
-      f.stacks.at(w)->map->put(key, val);
+      f.node(w).smap->put(key, val);
       expect[key] = val;
     }
   };
   write_round();
-  f.stacks.at(2)->mgr->start_resize(4);
+  f.node(2).mgr->start_resize(4);
   for (int burst = 0; burst < 6; ++burst) {
-    f.run_until([] { return false; }, millis(120));
+    run_ticking(f, [] { return false; }, millis(120));
     write_round();
   }
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }))
+  ASSERT_TRUE(run_ticking(f, [&] { return resize_settled(f, 4, 1); }))
       << "migration never settled under write load";
   // The last round's writes may still be in flight — wait until every node
   // serves every key at its final value before asserting.
   auto all_final = [&] {
     for (const auto& [key, val] : expect) {
-      for (NodeId id : f.ids) {
-        auto v = f.stacks.at(id)->map->get(key);
+      for (NodeId id : f.ids()) {
+        auto v = f.node(id).smap->get(key);
         if (!v || *v != val) return false;
       }
     }
     return true;
   };
-  ASSERT_TRUE(f.run_until(all_final, seconds(30)))
+  ASSERT_TRUE(run_ticking(f, all_final, seconds(30)))
       << "some write issued during the window was lost or left stale";
   for (const auto& [key, val] : expect) {
-    for (NodeId id : f.ids) {
-      auto v = f.stacks.at(id)->map->get(key);
+    for (NodeId id : f.ids()) {
+      auto v = f.node(id).smap->get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " lost " << key;
       EXPECT_EQ(*v, val) << "node " << id << " stale " << key;
     }
@@ -298,8 +240,8 @@ TEST(ReshardLiveTest, WritesDuringTheWindowAreAllServed) {
 }
 
 TEST(ReshardLiveTest, LocksStayExclusiveAcrossTheResize) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  SimCluster f = reshard_cluster(3, 2);
+  ASSERT_TRUE(f.bootstrap(seconds(20)));
 
   // Hold a batch of locks across the whole migration; waiters queued behind
   // them must be granted exactly once, after release, wherever the lock's
@@ -310,29 +252,29 @@ TEST(ReshardLiveTest, LocksStayExclusiveAcrossTheResize) {
   }
   std::map<std::string, int> grants1, grants2;
   for (const auto& n : names) {
-    f.stacks.at(1)->locks->acquire(n, [&](const std::string& g) {
+    f.node(1).slocks->acquire(n, [&](const std::string& g) {
       ++grants1[g];
     });
   }
-  ASSERT_TRUE(f.run_until([&] {
+  ASSERT_TRUE(run_ticking(f, [&] {
     return grants1.size() == names.size();
   }));
   for (const auto& n : names) {
-    f.stacks.at(2)->locks->acquire(n, [&](const std::string& g) {
+    f.node(2).slocks->acquire(n, [&](const std::string& g) {
       ++grants2[g];
-      EXPECT_TRUE(f.stacks.at(2)->locks->held_by_me(g));
+      EXPECT_TRUE(f.node(2).slocks->held_by_me(g));
     });
   }
 
-  f.stacks.at(1)->mgr->start_resize(4);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }));
+  f.node(1).mgr->start_resize(4);
+  ASSERT_TRUE(run_ticking(f, [&] { return resize_settled(f, 4, 1); }));
   // Holder still owns every lock after the hand-off; waiters still pending.
   for (const auto& n : names) {
-    EXPECT_TRUE(f.stacks.at(1)->locks->held_by_me(n)) << n;
+    EXPECT_TRUE(f.node(1).slocks->held_by_me(n)) << n;
     EXPECT_EQ(grants2.count(n), 0u) << n << " granted while held";
   }
-  for (const auto& n : names) f.stacks.at(1)->locks->release(n);
-  ASSERT_TRUE(f.run_until([&] { return grants2.size() == names.size(); }))
+  for (const auto& n : names) f.node(1).slocks->release(n);
+  ASSERT_TRUE(run_ticking(f, [&] { return grants2.size() == names.size(); }))
       << "queued waiters lost across the migration";
   for (const auto& n : names) {
     EXPECT_EQ(grants1[n], 1) << n;
@@ -341,20 +283,20 @@ TEST(ReshardLiveTest, LocksStayExclusiveAcrossTheResize) {
 }
 
 TEST(ReshardLiveTest, SecondResizeUsesTheNextEpoch) {
-  ReshardFixture f(3, 2);
-  ASSERT_TRUE(f.converge());
+  SimCluster f = reshard_cluster(3, 2);
+  ASSERT_TRUE(f.bootstrap(seconds(20)));
   for (int i = 0; i < 30; ++i) {
-    f.stacks.at(1)->map->put("e" + std::to_string(i), "x");
+    f.node(1).smap->put("e" + std::to_string(i), "x");
   }
-  f.stacks.at(1)->mgr->start_resize(3);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(3, 1); }));
-  f.stacks.at(2)->mgr->start_resize(5);
-  ASSERT_TRUE(f.run_until([&] { return f.resize_settled(5, 2); }));
+  f.node(1).mgr->start_resize(3);
+  ASSERT_TRUE(run_ticking(f, [&] { return resize_settled(f, 3, 1); }));
+  f.node(2).mgr->start_resize(5);
+  ASSERT_TRUE(run_ticking(f, [&] { return resize_settled(f, 5, 2); }));
   const ShardRouter target(5);
   for (int i = 0; i < 30; ++i) {
     std::string key = "e" + std::to_string(i);
-    for (NodeId id : f.ids) {
-      auto& m = *f.stacks.at(id)->map;
+    for (NodeId id : f.ids()) {
+      auto& m = *f.node(id).smap;
       ASSERT_TRUE(m.get(key).has_value()) << "node " << id << " lost " << key;
       EXPECT_TRUE(m.shard(target.shard_of(key)).contains(key));
     }
@@ -366,14 +308,14 @@ TEST(ReshardLiveTest, SingletonRingZeroCoordinatorDefersFreezeAndChunks) {
   // chunk: its fresh destination rings are singletons too, so the guard
   // "destination as wide as ring 0" passes trivially and the range's only
   // copy would be stranded on its own replica.
-  ReshardFixture f(4, 2);
-  ASSERT_TRUE(f.converge());
+  SimCluster f = reshard_cluster(4, 2);
+  ASSERT_TRUE(f.bootstrap(seconds(20)));
   for (int i = 0; i < 40; ++i) {
-    f.stacks.at(1)->map->put("sk" + std::to_string(i), "v");
+    f.node(1).smap->put("sk" + std::to_string(i), "v");
   }
-  ASSERT_TRUE(f.run_until([&] { return f.stacks.at(4)->map->size() == 40; }));
+  ASSERT_TRUE(run_ticking(f, [&] { return f.node(4).smap->size() == 40; }));
 
-  ReshardFixture::Stack& coord = *f.stacks.at(1);
+  SimCluster::Node& coord = f.node(1);
   auto ring0_width = [&] {
     return coord.plane->channels(0).view().members.size();
   };
@@ -386,25 +328,26 @@ TEST(ReshardLiveTest, SingletonRingZeroCoordinatorDefersFreezeAndChunks) {
     }
     return false;
   };
-  f.net.partition({{1}, {2, 3, 4}});
-  ASSERT_TRUE(f.run_until([&] { return ring0_width() == 1; }, seconds(10)));
+  f.net().partition({{1}, {2, 3, 4}});
+  ASSERT_TRUE(run_ticking(f, [&] { return ring0_width() == 1; }, seconds(10)));
   coord.mgr->start_resize(4);
-  ASSERT_TRUE(f.run_until([&] { return coord.mgr->migrating(); }, seconds(2)))
+  ASSERT_TRUE(
+      run_ticking(f, [&] { return coord.mgr->migrating(); }, seconds(2)))
       << "the isolated node never opened the migration window";
-  EXPECT_FALSE(f.run_until(froze_or_chunked, seconds(2)))
+  EXPECT_FALSE(run_ticking(f, froze_or_chunked, seconds(2)))
       << "FREEZE/CHUNK sent while ring 0 held " << ring0_width() << " member";
 
   // Healed, the step may only go out once ring 0 spans a majority again.
-  f.net.heal_partition();
+  f.net().heal_partition();
   bool early = false;
-  ASSERT_TRUE(f.run_until([&] {
+  ASSERT_TRUE(run_ticking(f, [&] {
     if (froze_or_chunked() && ring0_width() < 3) early = true;
-    return f.resize_settled(4, 1);
+    return resize_settled(f, 4, 1);
   })) << "migration never settled after the heal";
   EXPECT_FALSE(early) << "FREEZE/CHUNK sent before ring 0 regained its width";
   for (int i = 0; i < 40; ++i) {
-    for (NodeId id : f.ids) {
-      EXPECT_TRUE(f.stacks.at(id)->map->get("sk" + std::to_string(i)))
+    for (NodeId id : f.ids()) {
+      EXPECT_TRUE(f.node(id).smap->get("sk" + std::to_string(i)))
           << "node " << id << " lost sk" << i;
     }
   }
@@ -415,33 +358,34 @@ TEST(ReshardDurabilityTest, FullRestartRecoversIntoTheGrownEpoch) {
   std::filesystem::remove_all(root);
   const int kKeys = 40;
   {
-    ReshardFixture f(3, 2, root);
-    ASSERT_TRUE(f.converge());
+    SimCluster f = reshard_cluster(3, 2, root);
+    ASSERT_TRUE(f.bootstrap(seconds(20)));
     for (int i = 0; i < kKeys; ++i) {
-      f.stacks.at(1)->map->put("dk" + std::to_string(i),
-                               "d" + std::to_string(i));
+      f.node(1).smap->put("dk" + std::to_string(i), "d" + std::to_string(i));
     }
-    f.stacks.at(1)->mgr->start_resize(4);
-    ASSERT_TRUE(f.run_until([&] { return f.resize_settled(4, 1); }));
-    for (auto& [id, st] : f.stacks) st->plane->flush_storage();
+    f.node(1).mgr->start_resize(4);
+    ASSERT_TRUE(run_ticking(f, [&] { return resize_settled(f, 4, 1); }));
+    for (NodeId id : f.ids()) f.node(id).plane->flush_storage();
   }
 
   // Full teardown + restart from disk: each plane is reconstructed
   // pre-grown (four shard directories on disk), recovery replays the
   // reshard journal stream, and after_recovery lands every node on the
   // completed epoch — no migration window reopened.
-  ReshardFixture g(3, 4, root);
-  ASSERT_TRUE(g.converge());
-  for (auto& [id, st] : g.stacks) {
-    EXPECT_FALSE(st->mgr->migrating()) << "node " << id;
-    EXPECT_EQ(st->mgr->epoch(), 1u) << "node " << id;
-    EXPECT_EQ(st->plane->vrouter().current().shard_count(), 4u)
+  SimCluster g = reshard_cluster(3, 4, root);
+  for (NodeId id : g.ids()) ASSERT_TRUE(g.restart(id));
+  ASSERT_TRUE(
+      run_ticking(g, [&] { return g.converged(g.ids()); }, seconds(20)));
+  for (NodeId id : g.ids()) {
+    EXPECT_FALSE(g.node(id).mgr->migrating()) << "node " << id;
+    EXPECT_EQ(g.node(id).mgr->epoch(), 1u) << "node " << id;
+    EXPECT_EQ(g.node(id).plane->vrouter().current().shard_count(), 4u)
         << "node " << id;
   }
-  ASSERT_TRUE(g.run_until([&] {
-    for (auto& [id, st] : g.stacks) {
-      if (!st->map->synced() ||
-          st->map->size() != static_cast<std::size_t>(kKeys)) {
+  ASSERT_TRUE(run_ticking(g, [&] {
+    for (NodeId id : g.ids()) {
+      if (!g.node(id).smap->synced() ||
+          g.node(id).smap->size() != static_cast<std::size_t>(kKeys)) {
         return false;
       }
     }
@@ -450,11 +394,11 @@ TEST(ReshardDurabilityTest, FullRestartRecoversIntoTheGrownEpoch) {
   const ShardRouter target(4);
   for (int i = 0; i < kKeys; ++i) {
     std::string key = "dk" + std::to_string(i);
-    for (auto& [id, st] : g.stacks) {
-      auto v = st->map->get(key);
+    for (NodeId id : g.ids()) {
+      auto v = g.node(id).smap->get(key);
       ASSERT_TRUE(v.has_value()) << "node " << id << " missing " << key;
       EXPECT_EQ(*v, "d" + std::to_string(i));
-      EXPECT_TRUE(st->map->shard(target.shard_of(key)).contains(key));
+      EXPECT_TRUE(g.node(id).smap->shard(target.shard_of(key)).contains(key));
     }
   }
   std::filesystem::remove_all(root);
@@ -516,6 +460,33 @@ TEST(ReshardChaosTest, KillDestBeforeCutoverSeeds1To9) {
 
 TEST(ReshardChaosTest, PartitionDuringUnfreezeSeeds1To9) {
   run_reshard_sweep(1, 9, testing::MigrationFault::kPartitionDuringUnfreeze);
+}
+
+TEST(ReshardChaosTest, SameSeedSameOutcome) {
+  // A resize round replays from its seed, durable restarts included: the
+  // schedule, the verdicts, every outcome and every counter match run to
+  // run in fresh directories (the wall-clock recovery histograms do not).
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("raincore_reshard_replay_" + std::to_string(::getpid()));
+  testing::ReshardRoundOptions opts;
+  opts.fault = testing::MigrationFault::kKillDestBeforeCutover;
+  const testing::ChaosRoundResult a =
+      testing::run_reshard_round(1, (root / "a").string(), opts);
+  const testing::ChaosRoundResult b =
+      testing::run_reshard_round(1, (root / "b").string(), opts);
+  fs::remove_all(root);
+  EXPECT_GT(a.faults, 0u);
+  EXPECT_EQ(a.schedule, b.schedule);
+  EXPECT_EQ(a.violations, b.violations);
+  EXPECT_EQ(a.acked_ops, b.acked_ops);
+  EXPECT_EQ(a.voided_ops, b.voided_ops);
+  EXPECT_EQ(a.acked_lost, b.acked_lost);
+  EXPECT_EQ(a.phantom_resurrections, b.phantom_resurrections);
+  EXPECT_EQ(a.final_epoch, b.final_epoch);
+  EXPECT_EQ(a.final_shards, b.final_shards);
+  EXPECT_EQ(a.metrics.counters, b.metrics.counters);
 }
 
 }  // namespace

@@ -2,55 +2,52 @@
 // agreement, multicast ordering and the mutual exclusion service.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
 using session::SessionNode;
-using testing::TestCluster;
+using testing::SimCluster;
 
 TEST(SessionBasic, SingletonGroupFormsAndDeliversToSelf) {
-  TestCluster c({1});
-  c.node(1).found();
+  SimCluster c({1});
+  c.session(1).found();
   c.send(1, "hello");
   c.run(millis(100));
   ASSERT_EQ(c.delivered(1).size(), 1u);
   EXPECT_EQ(c.delivered(1)[0].payload, "hello");
   EXPECT_EQ(c.delivered(1)[0].origin, 1u);
-  EXPECT_EQ(c.node(1).view().members, std::vector<NodeId>{1});
+  EXPECT_EQ(c.session(1).view().members, std::vector<NodeId>{1});
 }
 
 TEST(SessionBasic, FoundAllMergesIntoOneGroupViaDiscovery) {
-  TestCluster c({1, 2, 3, 4});
+  SimCluster c({1, 2, 3, 4});
   c.found_all();
   ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)))
       << "discovery/merge did not unify the groups";
   // Group ID is the lowest node id.
-  EXPECT_EQ(c.node(3).view().group_id, 1u);
+  EXPECT_EQ(c.session(3).view().group_id, 1u);
 }
 
 TEST(SessionBasic, BootstrapViaJoin) {
-  TestCluster c({1, 2, 3, 4, 5});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5}, seconds(10)));
+  SimCluster c({1, 2, 3, 4, 5});
+  ASSERT_TRUE(c.bootstrap_via_join());
 }
 
 TEST(SessionBasic, TokenCirculates) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-  auto before = c.node(2).stats().tokens_received.value();
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  auto before = c.session(2).stats().tokens_received.value();
   c.run(seconds(1));
-  auto after = c.node(2).stats().tokens_received.value();
+  auto after = c.session(2).stats().tokens_received.value();
   EXPECT_GT(after, before + 10) << "token is not circulating";
 }
 
 TEST(SessionBasic, AgreedMulticastReachesAllMembers) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.send(2, "from-2");
   c.send(4, "from-4");
   c.run(seconds(1));
@@ -61,9 +58,8 @@ TEST(SessionBasic, AgreedMulticastReachesAllMembers) {
 }
 
 TEST(SessionBasic, AgreedOrderingIsIdenticalEverywhere) {
-  TestCluster c({1, 2, 3, 4, 5});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5}, seconds(10)));
+  SimCluster c({1, 2, 3, 4, 5});
+  ASSERT_TRUE(c.bootstrap_via_join());
   // Interleave sends from several origins over time.
   for (int round = 0; round < 10; ++round) {
     for (NodeId id : c.ids()) {
@@ -79,9 +75,8 @@ TEST(SessionBasic, AgreedOrderingIsIdenticalEverywhere) {
 }
 
 TEST(SessionBasic, SafeMulticastDeliversAfterExtraRound) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.send(1, "safe-msg", Ordering::kSafe);
   c.run(seconds(2));
   for (NodeId id : c.ids()) {
@@ -92,9 +87,8 @@ TEST(SessionBasic, SafeMulticastDeliversAfterExtraRound) {
 }
 
 TEST(SessionBasic, SafeDeliveryIsLaterThanAgreedForSameSubmission) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.send(1, "agreed", Ordering::kAgreed);
   c.send(1, "safe", Ordering::kSafe);
   c.run(seconds(2));
@@ -107,14 +101,13 @@ TEST(SessionBasic, SafeDeliveryIsLaterThanAgreedForSameSubmission) {
 }
 
 TEST(SessionBasic, MutualExclusionRunsExactlyOnceAndWhileEating) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   int runs = 0;
   bool was_eating = false;
-  c.node(2).run_exclusive([&] {
+  c.session(2).run_exclusive([&] {
     ++runs;
-    was_eating = c.node(2).holds_token();
+    was_eating = c.session(2).holds_token();
   });
   c.run(seconds(1));
   EXPECT_EQ(runs, 1);
@@ -122,15 +115,14 @@ TEST(SessionBasic, MutualExclusionRunsExactlyOnceAndWhileEating) {
 }
 
 TEST(SessionBasic, ExclusiveSectionsDoNotOverlapAcrossNodes) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
   int active = 0;
   int max_active = 0;
   int total = 0;
   for (NodeId id : c.ids()) {
     for (int k = 0; k < 5; ++k) {
-      c.node(id).run_exclusive([&] {
+      c.session(id).run_exclusive([&] {
         ++active;
         max_active = std::max(max_active, active);
         ++total;
@@ -144,39 +136,36 @@ TEST(SessionBasic, ExclusiveSectionsDoNotOverlapAcrossNodes) {
 }
 
 TEST(SessionBasic, GracefulLeaveShrinksMembership) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
-  c.node(3).leave();
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  c.session(3).leave();
   ASSERT_TRUE(c.run_until_converged({1, 2, 4}, seconds(5)));
-  EXPECT_FALSE(c.node(3).started());
+  EXPECT_FALSE(c.session(3).started());
 }
 
 TEST(SessionBasic, VisitEndHandlerRunsOnEveryVisitIncludingTheLeavingOne) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   int visits = 0;
   int after_leave = 0;  // visit ends observed once the node had stopped
-  c.node(3).set_visit_end_handler([&] {
+  c.session(3).set_visit_end_handler([&] {
     ++visits;
-    if (!c.node(3).started()) ++after_leave;
+    if (!c.session(3).started()) ++after_leave;
   });
   c.run(millis(200));
   EXPECT_GT(visits, 0);
   EXPECT_EQ(after_leave, 0);
   // The leaving visit passes the token and stops without arming a hold
   // timer; its visit end must still fire (the WAL commit rides it).
-  c.node(3).leave();
+  c.session(3).leave();
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(5)));
   EXPECT_EQ(after_leave, 1);
 }
 
 TEST(SessionBasic, ViewChangeCallbacksAreMonotonic) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-  const auto& vs = c.views(1);
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  const auto& vs = c.node(1).views.at(0);
   ASSERT_FALSE(vs.empty());
   for (std::size_t i = 1; i < vs.size(); ++i) {
     EXPECT_GE(vs[i].view_id, vs[i - 1].view_id);
@@ -184,10 +173,10 @@ TEST(SessionBasic, ViewChangeCallbacksAreMonotonic) {
 }
 
 TEST(SessionBasic, MulticastBeforeJoinIsDeliveredOnceMember) {
-  TestCluster c({1, 2});
-  c.node(1).found();
+  SimCluster c({1, 2});
+  c.session(1).found();
   c.run(millis(50));
-  c.node(2).join({1});
+  c.session(2).join({1});
   c.send(2, "early");  // queued while still joining
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(5)));
   c.run(seconds(1));
@@ -198,14 +187,14 @@ TEST(SessionBasic, MulticastBeforeJoinIsDeliveredOnceMember) {
 TEST(SessionBasic, OpenGroupSubmitReachesWholeGroup) {
   // §2.6: "a node can send a message to any member of the Raincore group,
   // and that member then forwards the message to the entire group."
-  TestCluster c({1, 2, 3, 9});  // node 9 stays outside the group
-  c.node(1).found();
-  c.node(2).join({1});
-  c.node(3).join({1});
+  SimCluster c({1, 2, 3, 9});  // node 9 stays outside the group
+  c.session(1).found();
+  c.session(2).join({1});
+  c.session(3).join({1});
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
 
   std::string s = "from-outside";
-  c.node(9).submit_open(2, Bytes(s.begin(), s.end()));
+  c.session(9).submit_open(2, Bytes(s.begin(), s.end()));
   c.run(seconds(1));
   for (NodeId id : {1u, 2u, 3u}) {
     ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
@@ -216,14 +205,11 @@ TEST(SessionBasic, OpenGroupSubmitReachesWholeGroup) {
 }
 
 TEST(SessionBasic, LargeGroupConverges) {
-  std::vector<NodeId> ids;
-  for (NodeId i = 1; i <= 16; ++i) ids.push_back(i);
-  TestCluster c(ids);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged(ids, seconds(30)));
+  SimCluster c(testing::node_ids(16));
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(30)));
   c.send(7, "big-group");
   c.run(seconds(2));
-  for (NodeId id : ids) {
+  for (NodeId id : c.ids()) {
     ASSERT_EQ(c.delivered(id).size(), 1u) << "node " << id;
   }
 }

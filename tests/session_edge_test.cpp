@@ -3,35 +3,33 @@
 // corner cases.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
-using testing::TestCluster;
+using testing::SimCluster;
 
 TEST(SessionEdge, FlowControlDrainsLargeBacklog) {
   session::SessionConfig cfg;
   cfg.max_batch_msgs = 10;
   cfg.token_hold = millis(2);
-  TestCluster c({1, 2, 3}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
   for (int i = 0; i < 500; ++i) c.send(1, "m" + std::to_string(i));
-  EXPECT_EQ(c.node(1).pending_out(), 500u);
+  EXPECT_EQ(c.session(1).pending_out(), 500u);
   c.run(seconds(10));
   for (NodeId id : c.ids()) {
     ASSERT_EQ(c.delivered(id).size(), 500u) << "node " << id;
   }
-  EXPECT_EQ(c.node(1).pending_out(), 0u);
+  EXPECT_EQ(c.session(1).pending_out(), 0u);
   EXPECT_TRUE(c.check_agreed_order().empty()) << c.check_agreed_order();
 }
 
 TEST(SessionEdge, LargePayloadMulticast) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   std::string big(100 * 1024, 'x');
   c.send(2, big);
   c.run(seconds(2));
@@ -81,9 +79,8 @@ TEST(SessionEdge, SetEligibleOnlineEnablesMerge) {
 }
 
 TEST(SessionEdge, AgreedAndSafeInterleaveConsistently) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
   for (int i = 0; i < 10; ++i) {
     c.send(1 + (i % 4), "a" + std::to_string(i), Ordering::kAgreed);
     c.send(1 + ((i + 1) % 4), "s" + std::to_string(i), Ordering::kSafe);
@@ -97,17 +94,15 @@ TEST(SessionEdge, AgreedAndSafeInterleaveConsistently) {
 }
 
 TEST(SessionEdge, RestartedOriginsMessagesAreDeliveredDespiteOldWatermarks) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   // Node 3 multicasts, crashes, restarts, multicasts again from seq 1.
   c.send(3, "before-crash");
   c.run(seconds(1));
-  c.net().set_node_up(3, false);
-  c.node(3).stop();
+  c.crash(3);
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(5)));
   c.net().set_node_up(3, true);
-  c.node(3).join({1});
+  c.session(3).join({1});
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   c.send(3, "after-restart");
   c.run(seconds(1));
@@ -121,42 +116,39 @@ TEST(SessionEdge, RestartedOriginsMessagesAreDeliveredDespiteOldWatermarks) {
 TEST(SessionEdge, ZeroHoldIntervalIsClamped) {
   session::SessionConfig cfg;
   cfg.token_hold = 0;
-  TestCluster c({1}, cfg);
-  c.node(1).found();
+  SimCluster c({1}, cfg);
+  c.session(1).found();
   c.run(millis(100));  // must terminate: virtual time must advance
-  EXPECT_GT(c.node(1).last_copy().seq, 10u);
+  EXPECT_GT(c.session(1).last_copy().seq, 10u);
 }
 
 TEST(SessionEdge, LeaveWhileHungryCompletesAtNextToken) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   // Call leave() at an arbitrary moment (node may be HUNGRY).
-  c.node(2).leave();
+  c.session(2).leave();
   ASSERT_TRUE(c.run_until_converged({1, 3}, seconds(5)));
-  EXPECT_FALSE(c.node(2).started());
+  EXPECT_FALSE(c.session(2).started());
 }
 
 TEST(SessionEdge, CancelLeaveKeepsMembership) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   // leave() then immediately cancel before the next EATING state.
-  if (!c.node(2).holds_token()) {
-    c.node(2).leave();
-    c.node(2).cancel_leave();
+  if (!c.session(2).holds_token()) {
+    c.session(2).leave();
+    c.session(2).cancel_leave();
     c.run(seconds(2));
-    EXPECT_TRUE(c.node(2).started());
+    EXPECT_TRUE(c.session(2).started());
     EXPECT_TRUE(c.converged({1, 2, 3}));
   }
 }
 
 TEST(SessionEdge, PendingMessagesAttachedBeforeGracefulLeave) {
-  TestCluster c({1, 2});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
+  SimCluster c({1, 2});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.send(2, "farewell");
-  c.node(2).leave();
+  c.session(2).leave();
   c.run(seconds(2));
   // The farewell message is attached during the final EATING cycle before
   // the node removes itself.
@@ -167,37 +159,33 @@ TEST(SessionEdge, PendingMessagesAttachedBeforeGracefulLeave) {
 TEST(SessionEdge, RoundtripStatisticsAreReasonable) {
   session::SessionConfig cfg;
   cfg.token_hold = millis(10);
-  TestCluster c({1, 2, 3, 4}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
-  c.node(1).stats().roundtrip.reset();
+  SimCluster c({1, 2, 3, 4}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
+  c.session(1).stats().roundtrip.reset();
   c.run(seconds(2));
-  const auto& rt = c.node(1).stats().roundtrip;
+  const auto& rt = c.session(1).stats().roundtrip;
   ASSERT_GT(rt.count(), 10u);
   // Roundtrip ≈ N * (hold + latency) = 4 * ~10.1 ms.
   EXPECT_NEAR(rt.mean() / 1e6, 40.4, 5.0);
 }
 
 TEST(SessionEdge, StaleTokenCounterTracksDuplicates) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   // Inject a duplicate of the current last copy directly via transport.
-  auto stale = c.node(1).last_copy();
-  c.node(2).transport().send(1, session::encode_token_msg(stale));
+  auto stale = c.session(1).last_copy();
+  c.session(2).transport().send(1, session::encode_token_msg(stale));
   c.run(millis(200));
-  EXPECT_GE(c.node(1).stats().stale_tokens_dropped.value(), 1u);
+  EXPECT_GE(c.session(1).stats().stale_tokens_dropped.value(), 1u);
 }
 
 TEST(SessionEdge, GroupIdTracksLowestMember) {
-  TestCluster c({3, 5, 9});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({3, 5, 9}, seconds(10)));
-  EXPECT_EQ(c.node(5).view().group_id, 3u);
-  c.net().set_node_up(3, false);
-  c.node(3).stop();
+  SimCluster c({3, 5, 9});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  EXPECT_EQ(c.session(5).view().group_id, 3u);
+  c.crash(3);
   ASSERT_TRUE(c.run_until_converged({5, 9}, seconds(5)));
-  EXPECT_EQ(c.node(9).view().group_id, 5u);
+  EXPECT_EQ(c.session(9).view().group_id, 5u);
 }
 
 }  // namespace

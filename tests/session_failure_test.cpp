@@ -5,31 +5,27 @@
 
 #include "common/metrics.h"
 #include "session/messages.h"
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
 using session::Ordering;
-using testing::TestCluster;
+using testing::SimCluster;
 
 TEST(SessionFailure, CrashedNodeIsRemovedFromMembership) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
   // "Cable unplugged": node 3 disappears from the network.
-  c.net().set_node_up(3, false);
-  c.node(3).stop();
+  c.crash(3);
   ASSERT_TRUE(c.run_until_converged({1, 2, 4}, seconds(5)))
       << "surviving nodes did not agree on the shrunken membership";
 }
 
 TEST(SessionFailure, FailureDetectionIsFast) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
-  c.net().set_node_up(2, false);
-  c.node(2).stop();
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  c.crash(2);
   Time start = c.net().now();
   ASSERT_TRUE(c.run_until_converged({1, 3, 4}, seconds(5)));
   Time detect = c.net().now() - start;
@@ -39,21 +35,19 @@ TEST(SessionFailure, FailureDetectionIsFast) {
 }
 
 TEST(SessionFailure, TokenLossIsRecoveredBy911) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Kill whichever node currently holds the token: the token dies with it.
   c.run(millis(3));
   NodeId holder = kInvalidNode;
   for (NodeId id : c.ids()) {
-    if (c.node(id).holds_token()) holder = id;
+    if (c.session(id).holds_token()) holder = id;
   }
   // If the token is in flight, kill the last node that passed it... just
   // pick node 2 and keep killing until we catch it holding.
   if (holder == kInvalidNode) holder = 2;
-  c.net().set_node_up(holder, false);
-  c.node(holder).stop();
+  c.crash(holder);
 
   std::vector<NodeId> expected;
   for (NodeId id : c.ids()) {
@@ -74,7 +68,7 @@ TEST(SessionFailure, TokenLossIsRecoveredBy911) {
   // Exactly one node regenerated (911 mutual exclusivity).
   int regens = 0;
   for (NodeId id : expected) {
-    regens += static_cast<int>(c.node(id).stats().regenerations.value());
+    regens += static_cast<int>(c.session(id).stats().regenerations.value());
   }
   EXPECT_EQ(regens, 1);
 }
@@ -84,9 +78,8 @@ TEST(SessionFailure, MessagesOnLostTokenSurviveRegeneration) {
   // token because local copies retain them (§2.3 + §2.6).
   session::SessionConfig cfg;
   cfg.token_hold = millis(20);  // slow the ring so we can race it
-  TestCluster c({1, 2, 3, 4}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Node 1 multicasts; wait until some (not all) nodes delivered, then kill
   // the current holder.
@@ -101,12 +94,11 @@ TEST(SessionFailure, MessagesOnLostTokenSurviveRegeneration) {
   }
   NodeId holder = kInvalidNode;
   for (NodeId id : c.ids()) {
-    if (c.node(id).holds_token()) holder = id;
+    if (c.session(id).holds_token()) holder = id;
   }
   if (holder == kInvalidNode || holder == 1) return;  // racy run; vacuous
 
-  c.net().set_node_up(holder, false);
-  c.node(holder).stop();
+  c.crash(holder);
   c.run(seconds(5));
 
   // Every survivor must have delivered "in-flight" exactly once.
@@ -121,9 +113,8 @@ TEST(SessionFailure, MessagesOnLostTokenSurviveRegeneration) {
 }
 
 TEST(SessionFailure, FalseAlarmNodeRejoinsAutomatically) {
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Induce a false alarm: cut node 3 off just long enough for the failure
   // detector to remove it, then restore. The wrongfully excluded node
@@ -139,13 +130,12 @@ TEST(SessionFailure, BrokenLinkIsBypassedInNewRing) {
   // The paper's ABCD example (§2.3): link A-B fails; B is removed by A,
   // B's 911 is treated as a join by C, and the new ring bypasses the
   // broken link.
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Find the actual ring order and cut the link between some node and its
   // successor.
-  const auto ring = c.node(1).view().members;
+  const auto ring = c.session(1).view().members;
   ASSERT_EQ(ring.size(), 4u);
   NodeId a = ring[0], b = ring[1];
   c.net().set_link_up(a, b, false);
@@ -156,16 +146,15 @@ TEST(SessionFailure, BrokenLinkIsBypassedInNewRing) {
   // the failed pass then reshuffles once more — so wait for stability.
   auto adjacency_ok = [&] {
     if (!c.converged({1, 2, 3, 4})) return false;
-    const auto r = c.node(b).view().members;
+    const auto r = c.session(b).view().members;
     for (std::size_t i = 0; i < r.size(); ++i) {
       NodeId cur = r[i], nxt = r[(i + 1) % r.size()];
       if ((cur == a && nxt == b) || (cur == b && nxt == a)) return false;
     }
     return true;
   };
-  Time deadline = c.net().now() + seconds(30);
-  while (c.net().now() < deadline && !adjacency_ok()) c.run(millis(20));
-  ASSERT_TRUE(adjacency_ok()) << "ring did not stabilise around broken link";
+  ASSERT_TRUE(c.run_until(adjacency_ok, seconds(30)))
+      << "ring did not stabilise around broken link";
   // Must remain stable for a full second.
   for (int k = 0; k < 50; ++k) {
     c.run(millis(20));
@@ -181,24 +170,22 @@ TEST(SessionFailure, BrokenLinkIsBypassedInNewRing) {
 }
 
 TEST(SessionFailure, PartitionSplitsThenMergeHeals) {
-  TestCluster c({1, 2, 3, 4, 5, 6});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5, 6}, seconds(10)));
+  SimCluster c({1, 2, 3, 4, 5, 6});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Split-brain: {1,2,3} | {4,5,6}. Both halves stay functional (§2.4
   // strategy 2 — no quorum shutdown).
   c.net().partition({{1, 2, 3}, {4, 5, 6}});
-  Time deadline = c.net().now() + seconds(10);
   auto half_converged = [&] {
-    std::vector<NodeId> g1 = c.node(1).view().members;
-    std::vector<NodeId> g2 = c.node(4).view().members;
+    std::vector<NodeId> g1 = c.session(1).view().members;
+    std::vector<NodeId> g2 = c.session(4).view().members;
     std::sort(g1.begin(), g1.end());
     std::sort(g2.begin(), g2.end());
     return g1 == std::vector<NodeId>({1, 2, 3}) &&
            g2 == std::vector<NodeId>({4, 5, 6});
   };
-  while (c.net().now() < deadline && !half_converged()) c.run(millis(10));
-  ASSERT_TRUE(half_converged()) << "sub-groups did not stabilise";
+  ASSERT_TRUE(c.run_until(half_converged, seconds(10)))
+      << "sub-groups did not stabilise";
 
   // Both halves keep multicasting independently.
   c.send(2, "left");
@@ -221,9 +208,8 @@ TEST(SessionFailure, PartitionSplitsThenMergeHeals) {
 }
 
 TEST(SessionFailure, ThreeWayPartitionMergesWithoutDeadlock) {
-  TestCluster c({1, 2, 3, 4, 5, 6});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5, 6}, seconds(10)));
+  SimCluster c({1, 2, 3, 4, 5, 6});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.net().partition({{1, 2}, {3, 4}, {5, 6}});
   c.run(seconds(5));
   c.net().heal_partition();
@@ -234,15 +220,13 @@ TEST(SessionFailure, ThreeWayPartitionMergesWithoutDeadlock) {
 }
 
 TEST(SessionFailure, CascadingFailures) {
-  TestCluster c({1, 2, 3, 4, 5, 6, 7, 8});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4, 5, 6, 7, 8}, seconds(15)));
+  SimCluster c({1, 2, 3, 4, 5, 6, 7, 8});
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(15)));
   // Kill half the cluster one by one while traffic flows.
   std::vector<NodeId> alive = {1, 2, 3, 4, 5, 6, 7, 8};
   for (NodeId victim : {8u, 6u, 4u, 2u}) {
     c.send(1, "before-" + std::to_string(victim));
-    c.net().set_node_up(victim, false);
-    c.node(victim).stop();
+    c.crash(victim);
     alive.erase(std::remove(alive.begin(), alive.end(), victim), alive.end());
     ASSERT_TRUE(c.run_until_converged(alive, seconds(10)))
         << "failed while removing " << victim;
@@ -257,13 +241,10 @@ TEST(SessionFailure, CascadingFailures) {
 }
 
 TEST(SessionFailure, AllButOneFailThenGroupOfOneSurvives) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-  c.net().set_node_up(2, false);
-  c.node(2).stop();
-  c.net().set_node_up(3, false);
-  c.node(3).stop();
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  c.crash(2);
+  c.crash(3);
   ASSERT_TRUE(c.run_until_converged({1}, seconds(10)));
   // Singleton still self-delivers.
   c.send(1, "alone");
@@ -272,15 +253,13 @@ TEST(SessionFailure, AllButOneFailThenGroupOfOneSurvives) {
 }
 
 TEST(SessionFailure, RejoinAfterCrashRestart) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
-  c.net().set_node_up(3, false);
-  c.node(3).stop();
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
+  c.crash(3);
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(5)));
   // Restart node 3 (fresh join).
   c.net().set_node_up(3, true);
-  c.node(3).join({1, 2});
+  c.session(3).join({1, 2});
   ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
   c.send(3, "back");
   c.run(seconds(1));
@@ -292,13 +271,12 @@ TEST(SessionFailure, RejoinAfterCrashRestart) {
 TEST(SessionFailureMetrics, RemovalCountMatchesInjectedCrashesAndFodFired) {
   // One injected crash must surface as exactly one membership removal
   // cluster-wide, driven by at least one transport failure-on-delivery.
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   auto sum_over = [&](const std::vector<NodeId>& ids, auto&& get) {
     std::uint64_t s = 0;
-    for (NodeId id : ids) s += get(c.node(id));
+    for (NodeId id : ids) s += get(c.session(id));
     return s;
   };
   auto removals = [](session::SessionNode& n) {
@@ -311,8 +289,7 @@ TEST(SessionFailureMetrics, RemovalCountMatchesInjectedCrashesAndFodFired) {
   EXPECT_EQ(sum_over({1, 2}, removals), 0u);
   EXPECT_EQ(sum_over({1, 2}, fods), 0u) << "healthy ring produced FODs";
 
-  c.net().set_node_up(3, false);
-  c.node(3).stop();
+  c.crash(3);
   ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(5)));
 
   EXPECT_EQ(sum_over({1, 2}, removals), 1u)
@@ -331,14 +308,13 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
   session::SessionConfig cfg;
   cfg.transport.adaptive = true;
   cfg.probation_passes = 2;
-  TestCluster c({1, 2, 3, 4}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.run(millis(200));  // prime the RTT estimators ring-wide
 
   auto total = [&](auto&& get) {
     std::uint64_t s = 0;
-    for (NodeId id : c.ids()) s += get(c.node(id));
+    for (NodeId id : c.ids()) s += get(c.session(id));
     return s;
   };
   auto removals = [](session::SessionNode& n) {
@@ -353,13 +329,13 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
   // definitely fires) but well inside the probation window (2x the bound).
   // The bound that matters is the ring predecessor's — it is the node whose
   // pass to 3 fails, and the only one with live RTT samples for that link.
-  const auto ring = c.node(3).view().members;
+  const auto ring = c.session(3).view().members;
   NodeId pred = kInvalidNode;
   for (std::size_t i = 0; i < ring.size(); ++i) {
     if (ring[(i + 1) % ring.size()] == 3) pred = ring[i];
   }
   ASSERT_NE(pred, kInvalidNode);
-  const Time fdb = c.node(pred).transport().failure_detection_bound(3);
+  const Time fdb = c.session(pred).transport().failure_detection_bound(3);
   for (NodeId other : std::vector<NodeId>{1, 2, 4}) {
     c.net().set_link_up(other, 3, false);
   }
@@ -377,22 +353,21 @@ TEST(SessionFailureMetrics, ProbationSavesDegradedPeerFromFalseRemoval) {
 TEST(SessionFailureMetrics, DenialCounterCountsRefused911s) {
   // A healthy member refuses token-recovery requests carrying an older
   // token copy; each refusal increments "session.911.denials" exactly once.
-  TestCluster c({1, 2});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
+  SimCluster c({1, 2});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.run(seconds(1));  // let the token's seq advance well past zero
 
-  std::uint64_t before = c.node(1).stats().denials_sent.value();
+  std::uint64_t before = c.session(1).stats().denials_sent.value();
   // Craft 911 requests from member 2 claiming a stale (seq 0) token copy;
   // request_id != 0 marks them as recovery (not join) requests. The replies
   // reach node 2 but are dropped: it has no matching active round.
   const int kRequests = 3;
   for (int i = 0; i < kRequests; ++i) {
     session::Msg911 m{2, 1000 + static_cast<std::uint64_t>(i), 0};
-    c.node(2).transport().send(1, session::encode_911(m));
+    c.session(2).transport().send(1, session::encode_911(m));
     c.run(millis(50));
   }
-  EXPECT_EQ(c.node(1).stats().denials_sent.value() - before,
+  EXPECT_EQ(c.session(1).stats().denials_sent.value() - before,
             static_cast<std::uint64_t>(kRequests));
 }
 
@@ -400,18 +375,16 @@ TEST(SessionFailureMetrics, TokenLossDrives911RoundsAndStarvingDwell) {
   // Killing the token holder starves the survivors: the 911 machinery must
   // show up in the metrics (rounds ran, STARVING state was dwelt in, one
   // regeneration cluster-wide).
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   c.run(millis(3));
   NodeId holder = kInvalidNode;
   for (NodeId id : c.ids()) {
-    if (c.node(id).holds_token()) holder = id;
+    if (c.session(id).holds_token()) holder = id;
   }
   if (holder == kInvalidNode) holder = 2;
-  c.net().set_node_up(holder, false);
-  c.node(holder).stop();
+  c.crash(holder);
 
   std::vector<NodeId> expected;
   for (NodeId id : c.ids()) {
@@ -421,7 +394,7 @@ TEST(SessionFailureMetrics, TokenLossDrives911RoundsAndStarvingDwell) {
 
   std::uint64_t rounds = 0, regens = 0, starving_dwells = 0;
   for (NodeId id : expected) {
-    metrics::Registry& reg = c.node(id).metrics();
+    metrics::Registry& reg = c.session(id).metrics();
     rounds += reg.counter("session.911.rounds").value();
     regens += reg.counter("session.911.regenerations").value();
     starving_dwells +=
@@ -439,9 +412,8 @@ TEST(SessionFailure, LossyNetworkStillConvergesAndOrders) {
   ncfg.seed = 7;
   session::SessionConfig cfg;
   cfg.hungry_timeout = millis(1200);
-  TestCluster c({1, 2, 3, 4}, cfg, ncfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(30)));
+  SimCluster c({1, 2, 3, 4}, cfg, ncfg);
+  ASSERT_TRUE(c.bootstrap_via_join(seconds(30)));
   for (int i = 0; i < 20; ++i) {
     c.send(1 + (i % 4), "m" + std::to_string(i));
     c.run(millis(10));

@@ -3,27 +3,26 @@
 // critical-resource shutdown device.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
-using testing::TestCluster;
+using testing::SimCluster;
 
 TEST(SplitBrain, QuorumDeciderShutsDownMinority) {
   session::SessionConfig cfg;
   cfg.quorum_of = 4;  // N = 4: any view of size <= 2 self-terminates
-  TestCluster c({1, 2, 3, 4}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Partition 1|3: the singleton side must shut itself down; the 3-side
   // (majority) keeps running.
   c.net().partition({{1}, {2, 3, 4}});
   c.run(seconds(5));
-  EXPECT_FALSE(c.node(1).started()) << "minority node did not shut down";
+  EXPECT_FALSE(c.session(1).started()) << "minority node did not shut down";
   for (NodeId id : {2u, 3u, 4u}) {
-    EXPECT_TRUE(c.node(id).started()) << "majority node " << id << " died";
+    EXPECT_TRUE(c.session(id).started()) << "majority node " << id << " died";
   }
   ASSERT_TRUE(c.run_until_converged({2, 3, 4}, seconds(5)));
 }
@@ -33,30 +32,28 @@ TEST(SplitBrain, QuorumDeciderKillsBothHalvesOnEvenSplit) {
   // split of N=4 stops *everything* (both sides are at N/2).
   session::SessionConfig cfg;
   cfg.quorum_of = 4;
-  TestCluster c({1, 2, 3, 4}, cfg);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
   int shutdowns = 0;
   for (NodeId id : c.ids()) {
-    c.node(id).set_quorum_shutdown_handler([&] { ++shutdowns; });
+    c.session(id).set_quorum_shutdown_handler([&] { ++shutdowns; });
   }
   c.net().partition({{1, 2}, {3, 4}});
   c.run(seconds(5));
   for (NodeId id : c.ids()) {
-    EXPECT_FALSE(c.node(id).started()) << "node " << id;
+    EXPECT_FALSE(c.session(id).started()) << "node " << id;
   }
   EXPECT_EQ(shutdowns, 4);
 }
 
 TEST(SplitBrain, DefaultStrategyKeepsBothHalvesAlive) {
   // Raincore's default (§2.4 strategy 2): both sub-groups stay functional.
-  TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.net().partition({{1, 2}, {3, 4}});
   c.run(seconds(5));
   for (NodeId id : c.ids()) {
-    EXPECT_TRUE(c.node(id).started()) << "node " << id;
+    EXPECT_TRUE(c.session(id).started()) << "node " << id;
   }
   c.send(1, "left-half");
   c.send(3, "right-half");
@@ -71,9 +68,8 @@ TEST(SplitBrain, RedundantLinksPreventPartitionFromSingleLinkFailure) {
   // sub-groups less likely to occur."
   session::SessionConfig cfg;
   cfg.transport.default_peer_ifaces = 2;
-  TestCluster c({1, 2, 3}, cfg, {}, /*ifaces=*/2);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   // Kill the primary (iface-0) path between every pair of nodes.
   for (NodeId a : c.ids()) {
@@ -85,14 +81,14 @@ TEST(SplitBrain, RedundantLinksPreventPartitionFromSingleLinkFailure) {
   }
   // With a single link this would shatter the group; with redundant links
   // the token keeps flowing over the secondary path and nobody is removed.
-  auto removals_before = c.node(1).stats().removals.value() +
-                         c.node(2).stats().removals.value() +
-                         c.node(3).stats().removals.value();
+  auto removals_before = c.session(1).stats().removals.value() +
+                         c.session(2).stats().removals.value() +
+                         c.session(3).stats().removals.value();
   c.run(seconds(5));
   EXPECT_TRUE(c.converged({1, 2, 3})) << "membership broke despite redundancy";
-  auto removals_after = c.node(1).stats().removals.value() +
-                        c.node(2).stats().removals.value() +
-                        c.node(3).stats().removals.value();
+  auto removals_after = c.session(1).stats().removals.value() +
+                        c.session(2).stats().removals.value() +
+                        c.session(3).stats().removals.value();
   EXPECT_EQ(removals_after, removals_before) << "spurious removals occurred";
 
   c.send(2, "over-secondary-link");
@@ -107,15 +103,14 @@ TEST(SplitBrain, ParallelStrategyMasksPrimaryLinkLossWithoutRtoStall) {
   session::SessionConfig cfg;
   cfg.transport.default_peer_ifaces = 2;
   cfg.transport.strategy = transport::SendStrategy::kParallel;
-  TestCluster c({1, 2}, cfg, {}, /*ifaces=*/2);
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
+  SimCluster c({1, 2}, cfg);
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.net().set_link_up(net::Address{1, 0}, net::Address{2, 0}, false);
-  c.node(1).stats().roundtrip.reset();
+  c.session(1).stats().roundtrip.reset();
   c.run(seconds(2));
   // Token roundtrips continue at full rate: 2 nodes * (5 ms hold + wire).
-  ASSERT_GT(c.node(1).stats().roundtrip.count(), 50u);
-  EXPECT_LT(c.node(1).stats().roundtrip.mean() / 1e6, 15.0)
+  ASSERT_GT(c.session(1).stats().roundtrip.count(), 50u);
+  EXPECT_LT(c.session(1).stats().roundtrip.mean() / 1e6, 15.0)
       << "parallel sends should not stall on the dead primary";
 }
 

@@ -5,122 +5,110 @@
 #include <memory>
 
 #include "data/sync_primitives.h"
-#include "net/sim_network.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
 
-using data::ChannelMux;
 using data::DistributedBarrier;
 using data::DistributedCounter;
 using data::DistributedQueue;
+using testing::SimCluster;
+using testing::SimStack;
 
-struct SyncNode {
-  std::unique_ptr<session::SessionNode> session;
-  std::unique_ptr<ChannelMux> mux;
+struct SyncPrims {
   std::unique_ptr<DistributedBarrier> barrier;
   std::unique_ptr<DistributedCounter> counter;
   std::unique_ptr<DistributedQueue> queue;
 };
 
-class SyncCluster {
- public:
-  explicit SyncCluster(std::vector<NodeId> ids) {
-    session::SessionConfig cfg;
-    cfg.eligible = ids;
-    for (NodeId id : ids) {
-      auto& env = net_.add_node(id);
-      SyncNode n;
-      n.session = std::make_unique<session::SessionNode>(env, cfg);
-      n.mux = std::make_unique<ChannelMux>(*n.session);
-      n.barrier = std::make_unique<DistributedBarrier>(*n.mux, 1, ids.size());
-      n.counter = std::make_unique<DistributedCounter>(*n.mux, 2);
-      n.queue = std::make_unique<DistributedQueue>(*n.mux, 3);
-      nodes_[id] = std::move(n);
-    }
-    auto it = nodes_.begin();
-    it->second.session->found();
-    NodeId seed = it->first;
-    for (++it; it != nodes_.end(); ++it) it->second.session->join({seed});
-    run(seconds(5));
+/// Attaches a barrier (channel 1), a counter (channel 2) and a queue
+/// (channel 3) to every node's ChannelMux.
+std::map<NodeId, SyncPrims> attach_prims(SimCluster& c) {
+  std::map<NodeId, SyncPrims> out;
+  for (NodeId id : c.ids()) {
+    data::ChannelMux& chan = *c.node(id).chan;
+    SyncPrims& p = out[id];
+    p.barrier = std::make_unique<DistributedBarrier>(chan, 1, c.ids().size());
+    p.counter = std::make_unique<DistributedCounter>(chan, 2);
+    p.queue = std::make_unique<DistributedQueue>(chan, 3);
   }
-
-  void run(Time d) { net_.loop().run_for(d); }
-  SyncNode& node(NodeId id) { return nodes_.at(id); }
-  std::vector<NodeId> ids() const {
-    std::vector<NodeId> out;
-    for (auto& [id, n] : nodes_) out.push_back(id);
-    return out;
-  }
-
- private:
-  net::SimNetwork net_;
-  std::map<NodeId, SyncNode> nodes_;
-};
+  return out;
+}
 
 TEST(BarrierTest, ReleasesOnlyWhenAllArrive) {
-  SyncCluster c({1, 2, 3});
+  SimCluster c({1, 2, 3}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
   std::map<NodeId, int> released;
   for (NodeId id : c.ids()) {
-    c.node(id).barrier->set_released_handler(
+    p.at(id).barrier->set_released_handler(
         [&released, id](std::uint64_t) { released[id]++; });
   }
-  c.node(1).barrier->arrive();
-  c.node(2).barrier->arrive();
+  p.at(1).barrier->arrive();
+  p.at(2).barrier->arrive();
   c.run(seconds(1));
   EXPECT_EQ(released[1], 0) << "barrier released before all parties arrived";
-  c.node(3).barrier->arrive();
+  p.at(3).barrier->arrive();
   c.run(seconds(1));
   for (NodeId id : c.ids()) {
     EXPECT_EQ(released[id], 1) << "node " << id;
-    EXPECT_EQ(c.node(id).barrier->generation(), 1u);
+    EXPECT_EQ(p.at(id).barrier->generation(), 1u);
   }
 }
 
 TEST(BarrierTest, IsReusableAcrossGenerations) {
-  SyncCluster c({1, 2});
+  SimCluster c({1, 2}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
   int released = 0;
-  c.node(1).barrier->set_released_handler([&](std::uint64_t) { ++released; });
+  p.at(1).barrier->set_released_handler([&](std::uint64_t) { ++released; });
   for (int round = 0; round < 3; ++round) {
-    c.node(1).barrier->arrive();
-    c.node(2).barrier->arrive();
+    p.at(1).barrier->arrive();
+    p.at(2).barrier->arrive();
     c.run(seconds(1));
   }
   EXPECT_EQ(released, 3);
 }
 
 TEST(BarrierTest, DoubleArrivalCountsOnce) {
-  SyncCluster c({1, 2});
+  SimCluster c({1, 2}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
   int released = 0;
-  c.node(1).barrier->set_released_handler([&](std::uint64_t) { ++released; });
-  c.node(1).barrier->arrive();
-  c.node(1).barrier->arrive();  // same node, same generation
+  p.at(1).barrier->set_released_handler([&](std::uint64_t) { ++released; });
+  p.at(1).barrier->arrive();
+  p.at(1).barrier->arrive();  // same node, same generation
   c.run(seconds(1));
   EXPECT_EQ(released, 0);
-  EXPECT_EQ(c.node(1).barrier->waiting(), 1u);
+  EXPECT_EQ(p.at(1).barrier->waiting(), 1u);
 }
 
 TEST(CounterTest, ConcurrentAddsConvergeIdentically) {
-  SyncCluster c({1, 2, 3});
+  SimCluster c({1, 2, 3}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
   for (int i = 0; i < 10; ++i) {
-    c.node(1).counter->add(1);
-    c.node(2).counter->add(10);
-    c.node(3).counter->add(-2);
+    p.at(1).counter->add(1);
+    p.at(2).counter->add(10);
+    p.at(3).counter->add(-2);
   }
   c.run(seconds(3));
   for (NodeId id : c.ids()) {
-    EXPECT_EQ(c.node(id).counter->value(), 90) << "node " << id;
+    EXPECT_EQ(p.at(id).counter->value(), 90) << "node " << id;
   }
 }
 
 TEST(CounterTest, FetchCallbackSeesPostOpValue) {
-  SyncCluster c({1, 2});
+  SimCluster c({1, 2}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
   std::vector<std::int64_t> seen;
-  c.node(1).counter->add(5, [&](std::int64_t v) { seen.push_back(v); });
+  p.at(1).counter->add(5, [&](std::int64_t v) { seen.push_back(v); });
   c.run(seconds(1));
-  c.node(2).counter->add(3);
+  p.at(2).counter->add(3);
   c.run(seconds(1));
-  c.node(1).counter->add(1, [&](std::int64_t v) { seen.push_back(v); });
+  p.at(1).counter->add(1, [&](std::int64_t v) { seen.push_back(v); });
   c.run(seconds(1));
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], 5);
@@ -129,11 +117,13 @@ TEST(CounterTest, FetchCallbackSeesPostOpValue) {
 
 TEST(CounterTest, UniqueTicketAllocation) {
   // fetch-add as a cluster-wide unique id allocator.
-  SyncCluster c({1, 2, 3, 4});
+  SimCluster c({1, 2, 3, 4}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
   std::set<std::int64_t> tickets;
   for (NodeId id : c.ids()) {
     for (int k = 0; k < 5; ++k) {
-      c.node(id).counter->add(1, [&](std::int64_t v) { tickets.insert(v); });
+      p.at(id).counter->add(1, [&](std::int64_t v) { tickets.insert(v); });
     }
   }
   c.run(seconds(3));
@@ -143,29 +133,33 @@ TEST(CounterTest, UniqueTicketAllocation) {
 }
 
 TEST(QueueTest, PushPopFifoAcrossNodes) {
-  SyncCluster c({1, 2});
-  c.node(1).queue->push("a");
-  c.node(1).queue->push("b");
+  SimCluster c({1, 2}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
+  p.at(1).queue->push("a");
+  p.at(1).queue->push("b");
   c.run(seconds(1));
   std::optional<std::string> got;
-  c.node(2).queue->try_pop([&](std::optional<std::string> v) { got = v; });
+  p.at(2).queue->try_pop([&](std::optional<std::string> v) { got = v; });
   c.run(seconds(1));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "a");
   for (NodeId id : c.ids()) {
-    EXPECT_EQ(c.node(id).queue->size(), 1u) << "node " << id;
+    EXPECT_EQ(p.at(id).queue->size(), 1u) << "node " << id;
   }
 }
 
 TEST(QueueTest, EachItemPoppedByExactlyOneNode) {
-  SyncCluster c({1, 2, 3});
-  for (int i = 0; i < 9; ++i) c.node(1).queue->push("item" + std::to_string(i));
+  SimCluster c({1, 2, 3}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
+  for (int i = 0; i < 9; ++i) p.at(1).queue->push("item" + std::to_string(i));
   c.run(seconds(1));
   std::multiset<std::string> popped;
   int empties = 0;
   for (NodeId id : c.ids()) {
     for (int k = 0; k < 3; ++k) {
-      c.node(id).queue->try_pop([&](std::optional<std::string> v) {
+      p.at(id).queue->try_pop([&](std::optional<std::string> v) {
         if (v) {
           popped.insert(*v);
         } else {
@@ -182,15 +176,17 @@ TEST(QueueTest, EachItemPoppedByExactlyOneNode) {
     EXPECT_EQ(popped.count("item" + std::to_string(i)), 1u);
   }
   for (NodeId id : c.ids()) {
-    EXPECT_EQ(c.node(id).queue->size(), 0u);
+    EXPECT_EQ(p.at(id).queue->size(), 0u);
   }
 }
 
 TEST(QueueTest, PopOnEmptyReturnsNullopt) {
-  SyncCluster c({1, 2});
+  SimCluster c({1, 2}, {}, {}, SimStack::channels());
+  auto p = attach_prims(c);
+  ASSERT_TRUE(c.bootstrap());
   bool called = false;
   std::optional<std::string> got = std::string("sentinel");
-  c.node(1).queue->try_pop([&](std::optional<std::string> v) {
+  p.at(1).queue->try_pop([&](std::optional<std::string> v) {
     called = true;
     got = v;
   });

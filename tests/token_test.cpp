@@ -7,7 +7,7 @@
 #include "common/metrics.h"
 #include "session/messages.h"
 #include "session/token.h"
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
@@ -182,16 +182,16 @@ TEST(SessionMessagesTest, EmptyPayloadPeekFails) {
 namespace ringmetrics {
 
 /// Steps the simulation in small increments until `id` is EATING.
-bool run_until_holder(testing::TestCluster& c, NodeId id) {
-  for (int i = 0; i < 200000 && !c.node(id).holds_token(); ++i) {
+bool run_until_holder(testing::SimCluster& c, NodeId id) {
+  for (int i = 0; i < 200000 && !c.session(id).holds_token(); ++i) {
     c.run(micros(100));
   }
-  return c.node(id).holds_token();
+  return c.session(id).holds_token();
 }
 
-std::uint64_t total_passed(testing::TestCluster& c) {
+std::uint64_t total_passed(testing::SimCluster& c) {
   std::uint64_t sum = 0;
-  for (NodeId id : c.ids()) sum += c.node(id).stats().tokens_passed.value();
+  for (NodeId id : c.ids()) sum += c.session(id).stats().tokens_passed.value();
   return sum;
 }
 
@@ -202,45 +202,42 @@ TEST(TokenRingMetrics, TokenHopCountMatchesSeqDelta) {
   // node's "session.token.passed" counter exactly once, so on a healthy
   // ring (no 911, no merges) the cluster-wide hop count between two
   // sightings of the token at the same node equals the seq delta.
-  testing::TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  testing::SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
 
   ASSERT_TRUE(ringmetrics::run_until_holder(c, 1));
-  std::uint64_t seq_before = c.node(1).last_copy().seq;
+  std::uint64_t seq_before = c.session(1).last_copy().seq;
   std::uint64_t passed_before = ringmetrics::total_passed(c);
   c.run(seconds(1));
   ASSERT_TRUE(ringmetrics::run_until_holder(c, 1));
-  std::uint64_t seq_after = c.node(1).last_copy().seq;
+  std::uint64_t seq_after = c.session(1).last_copy().seq;
   std::uint64_t passed_after = ringmetrics::total_passed(c);
 
   EXPECT_GT(seq_after, seq_before) << "token did not advance";
   EXPECT_EQ(seq_after - seq_before, passed_after - passed_before);
   // No recovery traffic should have contributed to the deltas.
   for (NodeId id : c.ids()) {
-    EXPECT_EQ(c.node(id).stats().regenerations.value(), 0u) << "node " << id;
-    EXPECT_EQ(c.node(id).metrics().counter("session.911.rounds").value(), 0u)
+    EXPECT_EQ(c.session(id).stats().regenerations.value(), 0u) << "node " << id;
+    EXPECT_EQ(c.session(id).metrics().counter("session.911.rounds").value(), 0u)
         << "node " << id;
   }
 }
 
 TEST(TokenRingMetrics, RingSizeGaugeTracksMembership) {
-  testing::TestCluster c({1, 2, 3, 4});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3, 4}, seconds(10)));
+  testing::SimCluster c({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap_via_join());
   for (NodeId id : c.ids()) {
-    EXPECT_EQ(c.node(id).metrics().gauge("session.ring.size").value(), 4.0)
+    EXPECT_EQ(c.session(id).metrics().gauge("session.ring.size").value(), 4.0)
         << "node " << id;
   }
 }
 
 TEST(TokenRingMetrics, StateDwellHistogramsPopulateOnAHealthyRing) {
-  testing::TestCluster c({1, 2});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2}, seconds(10)));
+  testing::SimCluster c({1, 2});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.run(seconds(1));
   for (NodeId id : c.ids()) {
-    metrics::Registry& reg = c.node(id).metrics();
+    metrics::Registry& reg = c.session(id).metrics();
     // Both nodes alternate HUNGRY <-> EATING; STARVING never happens here.
     EXPECT_GT(reg.histogram("session.state.eating_dwell_ns").count(), 10u);
     EXPECT_GT(reg.histogram("session.state.hungry_dwell_ns").count(), 10u);
@@ -255,15 +252,14 @@ TEST(TokenRingMetrics, StateDwellHistogramsPopulateOnAHealthyRing) {
 TEST(TokenRingMetrics, SnapshotDiffIsolatesAQuietWindow) {
   // Registry snapshots taken around an idle window (no app traffic) must
   // show zero message deliveries but continued token circulation.
-  testing::TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  testing::SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.send(1, "warmup");
   c.run(seconds(1));
 
-  metrics::Snapshot before = c.node(2).metrics().snapshot();
+  metrics::Snapshot before = c.session(2).metrics().snapshot();
   c.run(seconds(1));
-  metrics::Snapshot delta = c.node(2).metrics().snapshot().diff(before);
+  metrics::Snapshot delta = c.session(2).metrics().snapshot().diff(before);
   EXPECT_EQ(delta.counters.at("session.msgs.delivered"), 0u);
   EXPECT_GT(delta.counters.at("session.token.received"), 10u);
 }

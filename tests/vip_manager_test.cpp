@@ -4,8 +4,7 @@
 
 #include <memory>
 
-#include "apps/vip/vip_manager.h"
-#include "net/sim_network.h"
+#include "testing/sim_cluster.h"
 
 namespace raincore {
 namespace {
@@ -14,75 +13,49 @@ using apps::Subnet;
 using apps::VipConfig;
 using apps::VipManager;
 
-class VipCluster {
- public:
-  VipCluster(std::vector<NodeId> ids, std::vector<std::string> pool) {
-    session::SessionConfig cfg;
-    cfg.eligible = ids;
-    for (NodeId id : ids) {
-      auto& env = net_.add_node(id);
-      Holder h;
-      h.session = std::make_unique<session::SessionNode>(env, cfg);
-      h.mux = std::make_unique<data::ChannelMux>(*h.session);
-      h.vips = std::make_unique<VipManager>(*h.mux, subnet_, VipConfig{pool, 100});
-      nodes_[id] = std::move(h);
-    }
-  }
-
-  void bootstrap() {
-    auto it = nodes_.begin();
-    it->second.session->found();
-    NodeId seed = it->first;
-    for (++it; it != nodes_.end(); ++it) it->second.session->join({seed});
-    run(seconds(5));
-  }
-
-  void run(Time d) { net_.loop().run_for(d); }
-  VipManager& vips(NodeId id) { return *nodes_.at(id).vips; }
-  session::SessionNode& session(NodeId id) { return *nodes_.at(id).session; }
-  Subnet& subnet() { return subnet_; }
-  net::SimNetwork& net() { return net_; }
-  std::vector<NodeId> ids() const {
-    std::vector<NodeId> out;
-    for (auto& [id, h] : nodes_) out.push_back(id);
-    return out;
-  }
-
-  /// Each VIP owned by exactly one live node, consistently across replicas.
-  bool assignment_consistent(const std::vector<std::string>& pool,
-                             const std::vector<NodeId>& live) {
-    for (const std::string& vip : pool) {
-      std::optional<NodeId> expect;
-      for (NodeId id : live) {
-        auto o = vips(id).owner_of(vip);
-        if (!o) return false;
-        if (!expect) expect = o;
-        if (*o != *expect) return false;
-      }
-      if (std::find(live.begin(), live.end(), *expect) == live.end())
-        return false;
-    }
-    return true;
-  }
-
- private:
-  struct Holder {
-    std::unique_ptr<session::SessionNode> session;
-    std::unique_ptr<data::ChannelMux> mux;
-    std::unique_ptr<VipManager> vips;
-  };
-  net::SimNetwork net_;
-  Subnet subnet_;
-  std::map<NodeId, Holder> nodes_;
-};
+using testing::SimCluster;
+using testing::SimStack;
 
 const std::vector<std::string> kPool = {"10.0.0.1", "10.0.0.2", "10.0.0.3",
                                         "10.0.0.4"};
 
+/// Each node runs a VipManager for kPool on the cluster's shared subnet.
+SimCluster vip_cluster(std::vector<NodeId> ids) {
+  SimStack stack = SimStack::channels();
+  stack.vips = VipConfig{kPool, 100};
+  return SimCluster(std::move(ids), {}, {}, stack);
+}
+
+/// Joins every node through node 1 (each join rebalances the pool), then
+/// lets the VIP assignment settle.
+::testing::AssertionResult start(SimCluster& c) {
+  if (!c.bootstrap_via_join(seconds(5))) {
+    return ::testing::AssertionFailure() << "no ring formed";
+  }
+  c.run(seconds(5));
+  return ::testing::AssertionSuccess();
+}
+
+/// Each VIP owned by exactly one live node, consistently across replicas.
+bool assignment_consistent(SimCluster& c, const std::vector<NodeId>& live) {
+  for (const std::string& vip : kPool) {
+    std::optional<NodeId> expect;
+    for (NodeId id : live) {
+      auto o = c.node(id).vips->owner_of(vip);
+      if (!o) return false;
+      if (!expect) expect = o;
+      if (*o != *expect) return false;
+    }
+    if (std::find(live.begin(), live.end(), *expect) == live.end())
+      return false;
+  }
+  return true;
+}
+
 TEST(VipManagerTest, AllVipsAssignedAfterBootstrap) {
-  VipCluster c({1, 2}, kPool);
-  c.bootstrap();
-  EXPECT_TRUE(c.assignment_consistent(kPool, {1, 2}));
+  SimCluster c = vip_cluster({1, 2});
+  ASSERT_TRUE(start(c));
+  EXPECT_TRUE(assignment_consistent(c, {1, 2}));
   // Every VIP answered by the subnet ARP cache.
   for (const auto& vip : kPool) {
     EXPECT_TRUE(c.subnet().resolve(vip).has_value()) << vip;
@@ -90,20 +63,20 @@ TEST(VipManagerTest, AllVipsAssignedAfterBootstrap) {
 }
 
 TEST(VipManagerTest, AssignmentIsBalanced) {
-  VipCluster c({1, 2, 3, 4}, kPool);
-  c.bootstrap();
+  SimCluster c = vip_cluster({1, 2, 3, 4});
+  ASSERT_TRUE(start(c));
   // 4 VIPs over 4 nodes: each serves exactly one.
   for (NodeId id : c.ids()) {
-    EXPECT_EQ(c.vips(id).my_vips().size(), 1u) << "node " << id;
+    EXPECT_EQ(c.node(id).vips->my_vips().size(), 1u) << "node " << id;
   }
 }
 
 TEST(VipManagerTest, NoVipOwnedByTwoNodes) {
-  VipCluster c({1, 2, 3}, kPool);
-  c.bootstrap();
+  SimCluster c = vip_cluster({1, 2, 3});
+  ASSERT_TRUE(start(c));
   std::map<std::string, int> claim_count;
   for (NodeId id : c.ids()) {
-    for (const auto& vip : c.vips(id).my_vips()) claim_count[vip]++;
+    for (const auto& vip : c.node(id).vips->my_vips()) claim_count[vip]++;
   }
   for (const auto& vip : kPool) {
     EXPECT_EQ(claim_count[vip], 1) << vip << " claimed by multiple nodes";
@@ -111,16 +84,15 @@ TEST(VipManagerTest, NoVipOwnedByTwoNodes) {
 }
 
 TEST(VipManagerTest, FailoverMovesVipsToSurvivors) {
-  VipCluster c({1, 2, 3}, kPool);
-  c.bootstrap();
-  ASSERT_TRUE(c.assignment_consistent(kPool, {1, 2, 3}));
+  SimCluster c = vip_cluster({1, 2, 3});
+  ASSERT_TRUE(start(c));
+  ASSERT_TRUE(assignment_consistent(c, {1, 2, 3}));
   std::size_t arps_before = c.subnet().arp_log().size();
 
-  c.net().set_node_up(3, false);
-  c.session(3).stop();
+  c.crash(3);
   c.run(seconds(5));
 
-  EXPECT_TRUE(c.assignment_consistent(kPool, {1, 2}))
+  EXPECT_TRUE(assignment_consistent(c, {1, 2}))
       << "VIPs of the failed node were not taken over";
   // Subnet must route every VIP to a live node ("the virtual IPs never
   // disappear as long as at least one physical node is functional").
@@ -134,46 +106,45 @@ TEST(VipManagerTest, FailoverMovesVipsToSurvivors) {
 }
 
 TEST(VipManagerTest, CascadeToSingleSurvivor) {
-  VipCluster c({1, 2, 3, 4}, kPool);
-  c.bootstrap();
+  SimCluster c = vip_cluster({1, 2, 3, 4});
+  ASSERT_TRUE(start(c));
   for (NodeId victim : {4u, 3u, 2u}) {
-    c.net().set_node_up(victim, false);
-    c.session(victim).stop();
+    c.crash(victim);
     c.run(seconds(5));
   }
   // The last node serves the whole pool.
-  EXPECT_EQ(c.vips(1).my_vips().size(), kPool.size());
+  EXPECT_EQ(c.node(1).vips->my_vips().size(), kPool.size());
   for (const auto& vip : kPool) {
     EXPECT_EQ(*c.subnet().resolve(vip), 1u) << vip;
   }
 }
 
 TEST(VipManagerTest, ManualMoveRelocatesVip) {
-  VipCluster c({1, 2}, kPool);
-  c.bootstrap();
+  SimCluster c = vip_cluster({1, 2});
+  ASSERT_TRUE(start(c));
   const std::string vip = kPool[0];
-  NodeId owner = *c.vips(1).owner_of(vip);
+  NodeId owner = *c.node(1).vips->owner_of(vip);
   NodeId target = owner == 1 ? 2 : 1;
-  c.vips(1).move(vip, target);
+  c.node(1).vips->move(vip, target);
   c.run(seconds(2));
-  EXPECT_EQ(*c.vips(1).owner_of(vip), target);
-  EXPECT_EQ(*c.vips(2).owner_of(vip), target);
+  EXPECT_EQ(*c.node(1).vips->owner_of(vip), target);
+  EXPECT_EQ(*c.node(2).vips->owner_of(vip), target);
   EXPECT_EQ(*c.subnet().resolve(vip), target);
 }
 
 TEST(VipManagerTest, JoinerTriggersRebalanceTowardEvenSpread) {
-  VipCluster c({1, 2, 3, 4}, kPool);
+  SimCluster c = vip_cluster({1, 2, 3, 4});
   // Start with only node 1: it owns all 4 VIPs.
   c.session(1).found();
   c.run(seconds(2));
-  EXPECT_EQ(c.vips(1).my_vips().size(), 4u);
+  EXPECT_EQ(c.node(1).vips->my_vips().size(), 4u);
   // Three nodes join; the rebalancer must spread the pool 1/1/1/1.
   c.session(2).join({1});
   c.session(3).join({1});
   c.session(4).join({1});
   c.run(seconds(8));
   for (NodeId id : c.ids()) {
-    EXPECT_EQ(c.vips(id).my_vips().size(), 1u) << "node " << id;
+    EXPECT_EQ(c.node(id).vips->my_vips().size(), 1u) << "node " << id;
   }
 }
 
@@ -181,21 +152,20 @@ TEST(VipManagerTest, RestartedNodeRebalancesCleanly) {
   // Regression: a crash-restarted node used to keep its pre-crash `mine_`
   // set and replica, so re-granted VIPs fired no gratuitous ARP and the
   // subnet kept routing them to the wrong node.
-  VipCluster c({1, 2}, kPool);
-  c.bootstrap();
-  c.net().set_node_up(2, false);
-  c.session(2).stop();
+  SimCluster c = vip_cluster({1, 2});
+  ASSERT_TRUE(start(c));
+  c.crash(2);
   c.run(seconds(4));
-  ASSERT_EQ(c.vips(1).my_vips().size(), kPool.size());
+  ASSERT_EQ(c.node(1).vips->my_vips().size(), kPool.size());
 
   c.net().set_node_up(2, true);
   c.session(2).join({1});
   c.run(seconds(8));
   // Balanced 2/2 again, and the subnet agrees with the assignment map.
-  EXPECT_EQ(c.vips(1).my_vips().size(), 2u);
-  EXPECT_EQ(c.vips(2).my_vips().size(), 2u);
+  EXPECT_EQ(c.node(1).vips->my_vips().size(), 2u);
+  EXPECT_EQ(c.node(2).vips->my_vips().size(), 2u);
   for (const auto& vip : kPool) {
-    auto owner = c.vips(1).owner_of(vip);
+    auto owner = c.node(1).vips->owner_of(vip);
     ASSERT_TRUE(owner.has_value()) << vip;
     ASSERT_TRUE(c.subnet().resolve(vip).has_value()) << vip;
     EXPECT_EQ(*c.subnet().resolve(vip), *owner)
@@ -204,32 +174,31 @@ TEST(VipManagerTest, RestartedNodeRebalancesCleanly) {
 }
 
 TEST(VipManagerTest, ManualMoveInSteadyStateIsNotFoughtByRebalancer) {
-  VipCluster c({1, 2}, kPool);
-  c.bootstrap();
+  SimCluster c = vip_cluster({1, 2});
+  ASSERT_TRUE(start(c));
   // Move everything to node 2 manually (diff > 1): steady-state moves are
   // operator decisions and must stand.
-  for (const auto& vip : kPool) c.vips(1).move(vip, 2);
+  for (const auto& vip : kPool) c.node(1).vips->move(vip, 2);
   c.run(seconds(3));
-  EXPECT_EQ(c.vips(2).my_vips().size(), kPool.size());
-  EXPECT_EQ(c.vips(1).my_vips().size(), 0u);
+  EXPECT_EQ(c.node(2).vips->my_vips().size(), kPool.size());
+  EXPECT_EQ(c.node(1).vips->my_vips().size(), 0u);
 }
 
 TEST(VipManagerTest, GainLossCallbacksFire) {
-  VipCluster c({1, 2}, kPool);
+  SimCluster c = vip_cluster({1, 2});
   int gains = 0, losses = 0;
-  c.vips(1).set_gain_handler([&](const std::string&) { ++gains; });
-  c.vips(1).set_loss_handler([&](const std::string&) { ++losses; });
-  c.bootstrap();
+  c.node(1).vips->set_gain_handler([&](const std::string&) { ++gains; });
+  c.node(1).vips->set_loss_handler([&](const std::string&) { ++losses; });
+  ASSERT_TRUE(start(c));
   // Node 1 founds alone (gains everything), then cedes a share when node 2
   // joins; the running balance must always equal current ownership.
-  EXPECT_EQ(gains - losses, static_cast<int>(c.vips(1).my_vips().size()));
+  EXPECT_EQ(gains - losses, static_cast<int>(c.node(1).vips->my_vips().size()));
   EXPECT_GT(gains, 0);
   // Kill node 2 → node 1 takes over the whole pool.
   int losses_before = losses;
-  c.net().set_node_up(2, false);
-  c.session(2).stop();
+  c.crash(2);
   c.run(seconds(5));
-  EXPECT_EQ(c.vips(1).my_vips().size(), 4u);
+  EXPECT_EQ(c.node(1).vips->my_vips().size(), 4u);
   EXPECT_EQ(gains - losses, 4);
   EXPECT_EQ(losses, losses_before) << "takeover must not lose VIPs";
 }

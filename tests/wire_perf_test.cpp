@@ -10,24 +10,25 @@
 // unit test instead of silently inflating the benchmarks.
 #include <gtest/gtest.h>
 
-#include "tests/util/test_cluster.h"
+#include "testing/sim_cluster.h"
 #include "transport/transport.h"
 
 namespace raincore {
 namespace {
 
-using testing::TestCluster;
+using testing::SimCluster;
 
-std::uint64_t total_hops(TestCluster& c) {
+std::uint64_t total_hops(SimCluster& c) {
   std::uint64_t total = 0;
-  for (NodeId id : c.ids()) total += c.node(id).stats().tokens_passed.value();
+  for (NodeId id : c.ids()) {
+    total += c.session(id).stats().tokens_passed.value();
+  }
   return total;
 }
 
 TEST(WirePerf, SteadyStateTokenHopAllocationBudget) {
-  TestCluster c({1, 2, 3});
-  c.bootstrap_via_join();
-  ASSERT_TRUE(c.run_until_converged({1, 2, 3}, seconds(10)));
+  SimCluster c({1, 2, 3});
+  ASSERT_TRUE(c.bootstrap_via_join());
   c.run(seconds(1));  // settle into steady rotation
 
   WireStats& ws = wire_stats();
@@ -60,7 +61,7 @@ TEST(WirePerf, SteadyStateTokenHopAllocationBudget) {
   // Encode-once accounting: in steady state every DATA transfer is framed
   // in the payload's own slack; the copy fallback stays untouched.
   for (NodeId id : c.ids()) {
-    auto& m = c.node(id).transport().metrics();
+    auto& m = c.session(id).transport().metrics();
     EXPECT_GT(m.counter("transport.frames_inplace").value(), 0u)
         << "node " << id;
     EXPECT_EQ(m.counter("transport.frame_copies").value(), 0u) << "node " << id;
