@@ -1,17 +1,23 @@
 // E8 — engineering micro-benchmarks (google-benchmark): serialization,
-// simulator event throughput, transport round trips, and a full token-ring
-// protocol cycle. These quantify the substrate itself, making the sim-based
-// numbers in E1–E7 interpretable.
+// simulator event throughput, transport round trips, a full token-ring
+// protocol cycle, and the replicated map's per-key apply. These quantify the
+// substrate itself, making the sim-based numbers in E1–E7 interpretable.
 //
 // --json=PATH additionally emits the runs as a raincore.bench.v1 document
 // (one result row per benchmark run) via a collecting reporter.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstdio>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bench/util/bench_json.h"
 #include "bench/util/gc_harness.h"
 #include "session/token.h"
+#include "testing/sim_cluster.h"
 #include "transport/transport.h"
 
 using namespace raincore;
@@ -155,6 +161,106 @@ void BM_TokenHopWire(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TokenHopWire)->Arg(4)->Arg(8);
+
+/// Map apply, the "map apply" row of the per-layer ledger: wall ns per put
+/// or erase applied to one ReplicatedMap replica holding `live` keys of
+/// ~100-byte values (session-table's record shape), without and with a
+/// bound ShardStore journaling every apply. The writes are a peer's, the
+/// case of all but one replica of every op. Records enter through
+/// apply_migration_chunk, the public apply entry: the same slot update,
+/// journal record and change event as a delivered put/erase, behind the
+/// LWW guard. Each 1024-record batch erases the 512 oldest live keys and
+/// puts 512 absent ones, so the live count holds. Only the apply is timed:
+/// encoding the batch and the WAL fdatasync after it are not (the store
+/// never compacts here; compaction is the storage layer's row).
+void BM_MapApply(benchmark::State& state) {
+  const std::size_t live = static_cast<std::size_t>(state.range(0));
+  const bool durable = state.range(1) != 0;
+  constexpr std::size_t kBatch = 1024;
+  const std::size_t pool = live + live / 2;
+  testing::SimStack stack = testing::SimStack::sharded(1);
+  stack.map_channel = 1;
+  // Removes the store directory after the cluster (declared below) closes.
+  struct TempDir {
+    std::filesystem::path path;
+    ~TempDir() {
+      if (!path.empty()) std::filesystem::remove_all(path);
+    }
+  } dir;
+  if (durable) {
+    dir.path = std::filesystem::temp_directory_path() /
+               ("raincore-bm-map-apply-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir.path);
+    stack.storage.dir = dir.path.string();
+    stack.storage.snapshot_every = 0;
+  }
+  testing::SimCluster c({1}, {}, {}, stack);
+  if (!c.bootstrap()) {
+    state.SkipWithError("single-node cluster did not form");
+    return;
+  }
+  data::ReplicatedMap& m = c.node(1).smap->shard(0);
+  std::uint64_t changes = 0;
+  m.set_change_handler(
+      [&changes](const std::string&, const std::optional<std::string>&,
+                 NodeId) { ++changes; });
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < pool; ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "s%06zu", i);
+    keys.emplace_back(buf);
+  }
+  const std::string value(100, 'v');
+  std::uint64_t lamport = 0;
+  ByteWriter w(64);
+  auto record = [&](bool tomb, std::size_t i) {
+    w.u8(tomb ? 1 : 0);
+    w.str(keys[i % pool]);
+    if (!tomb) w.str(value);
+    w.u64(++lamport);
+    w.u32(2);  // a peer's write: no own-write ledger note
+  };
+  auto apply = [&](std::uint32_t records) {
+    ByteWriter chunk(8 + w.view().size());
+    chunk.u32(records);
+    chunk.raw(w.view().data(), w.view().size());
+    const Bytes bytes = chunk.take();
+    w.clear();
+    ByteReader r(bytes);
+    const auto t0 = std::chrono::steady_clock::now();
+    m.apply_migration_chunk(r);
+    return std::chrono::steady_clock::now() - t0;
+  };
+  for (std::size_t i = 0; i < live; ++i) record(false, i);
+  apply(static_cast<std::uint32_t>(live));
+  std::size_t head = 0;  // oldest live key
+  std::chrono::nanoseconds timed{0};
+  std::uint64_t applies = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBatch / 2; ++i) {
+      record(true, head + i);
+      record(false, head + live + i);
+    }
+    head += kBatch / 2;
+    const auto dt = apply(kBatch);
+    timed += dt;
+    applies += kBatch;
+    state.SetIterationTime(std::chrono::duration<double>(dt).count());
+    if (durable) c.node(1).plane->flush_storage();
+  }
+  benchmark::DoNotOptimize(changes);
+  if (m.size() != live) state.SkipWithError("live count drifted");
+  state.counters["ns_per_apply"] =
+      static_cast<double>(timed.count()) / static_cast<double>(applies);
+  state.SetItemsProcessed(static_cast<std::int64_t>(applies));
+}
+BENCHMARK(BM_MapApply)
+    ->ArgNames({"live", "store"})
+    ->Args({4096, 0})
+    ->Args({4096, 1})
+    ->Args({12288, 0})
+    ->Args({12288, 1})
+    ->UseManualTime();
 
 /// Console reporter that also captures every finished run so the main below
 /// can re-emit them in the raincore.bench.v1 schema (google-benchmark's own

@@ -28,7 +28,7 @@
 # frame mutated while shared, or a regression back to per-retry copies
 # fails here.
 #
-# The TSAN tree closes the gate: the `runtime`-labelled suite (timer wheel
+# The TSAN tree closes the gate: the `runtime`-labelled suite (timer queue
 # + loop parity, SPSC stress, cross-thread eventfd posts, live ThreadedNode
 # clusters, the udp_cluster smoke, the kill -9 raincored harness), since
 # ASAN and TSAN cannot share one build. Any data race in the

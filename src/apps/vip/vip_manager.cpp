@@ -14,9 +14,19 @@ constexpr const char* kMod = "vip";
 VipManager::VipManager(data::ChannelMux& mux, Subnet& subnet, VipConfig cfg)
     : mux_(mux), subnet_(subnet), cfg_(std::move(cfg)),
       assignments_(mux, cfg_.channel) {
+  // The rebalancer recomputes the assignment after every merge; each
+  // side's pre-merge claims, re-asserted by the ledger, would fight it.
+  assignments_.disable_own_write_ledger();
   assignments_.set_change_handler(
       [this](const std::string& key, const std::optional<std::string>&, NodeId) {
-        inflight_writes_.erase(key);
+        if (key.empty()) {
+          // Wholesale adoption (join snapshot, merge reconcile): the table
+          // changed without a view change — a merge can hand every VIP to
+          // the side whose reconcile lands last — so reopen the window.
+          needs_rebalance_ = true;
+        } else {
+          inflight_writes_.erase(key);
+        }
         on_assignment_change();
       });
   mux_.subscribe_views([this](const session::View& v) { on_view(v); });

@@ -80,7 +80,8 @@ class VipManager {
   data::ReplicatedMap assignments_;
   std::set<std::string> mine_;
   bool rebalance_pending_ = false;
-  bool needs_rebalance_ = false;  ///< open rebalancing window (view change)
+  /// Open rebalancing window (a view change or a wholesale adoption).
+  bool needs_rebalance_ = false;
   /// VIP keys written by our last rebalance pass that have not yet come
   /// back around the ring; no new pass starts until this drains (reads are
   /// stale while writes are in flight).

@@ -37,17 +37,14 @@ void ReplicatedMap::bind_store(storage::ShardStore& store,
     return w.take();
   };
   hooks.load_snapshot = [this](ByteReader& r) {
-    std::map<std::string, std::string> data;
-    std::map<std::string, Stamp> stamps;
-    std::map<std::string, Stamp> tombs;
-    std::uint64_t clock = 0;
-    if (!read_state(r, data, stamps, tombs, clock)) return;
-    for (auto& [k, v] : data) shadow_[k] = ShadowEntry{std::move(v), stamps[k]};
-    for (auto& [k, st] : tombs) {
-      auto it = shadow_tombs_.find(k);
-      if (it == shadow_tombs_.end() || it->second < st) shadow_tombs_[k] = st;
+    State st;
+    if (!read_state(r, st)) return;
+    for (auto& [k, e] : st.live) shadow_[k] = std::move(e);
+    for (const auto& [k, stamp] : st.tombs) {
+      auto [it, fresh] = shadow_tombs_.try_emplace(k, stamp);
+      if (!fresh && it->second < stamp) it->second = stamp;
     }
-    shadow_clock_ = std::max(shadow_clock_, clock);
+    shadow_clock_ = std::max(shadow_clock_, st.clock);
     shadow_valid_ = true;
   };
   hooks.replay = [this](ByteReader& r) {
@@ -65,8 +62,8 @@ void ReplicatedMap::bind_store(storage::ShardStore& store,
       shadow_tombs_.erase(key);
     } else if (op == Op::kErase) {
       shadow_.erase(key);
-      auto it = shadow_tombs_.find(key);
-      if (it == shadow_tombs_.end() || it->second < st) shadow_tombs_[key] = st;
+      auto [it, fresh] = shadow_tombs_.try_emplace(key, st);
+      if (!fresh && it->second < st) it->second = st;
     }
   };
   store.attach(stream, std::move(hooks));
@@ -87,40 +84,35 @@ void ReplicatedMap::journal(Op op, const std::string& key,
 }
 
 void ReplicatedMap::write_state(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(data_.size()));
-  for (const auto& [k, v] : data_) {
+  w.u32(static_cast<std::uint32_t>(live_));
+  for (const auto& [k, s] : slots_) {
+    if (!s.value) continue;
     w.str(k);
-    w.str(v);
-    auto it = stamps_.find(k);
-    const Stamp st = it != stamps_.end() ? it->second : Stamp{};
-    w.u64(st.lamport);
-    w.u32(st.origin);
+    w.str(*s.value);
+    w.u64(s.stamp.lamport);
+    w.u32(s.stamp.origin);
   }
-  w.u32(static_cast<std::uint32_t>(tombstones_.size()));
-  for (const auto& [k, st] : tombstones_) {
-    w.str(k);
-    w.u64(st.lamport);
-    w.u32(st.origin);
+  // Oldest first, so the receiver's eviction order matches ours.
+  w.u32(static_cast<std::uint32_t>(tombs_.size));
+  for (const Slot* t = tombs_.head; t != nullptr; t = t->tomb_link.next) {
+    w.str(*t->key);
+    w.u64(t->stamp.lamport);
+    w.u32(t->stamp.origin);
   }
   w.u64(std::max(lamport_, send_lamport_));
 }
 
-bool ReplicatedMap::read_state(ByteReader& r,
-                               std::map<std::string, std::string>& data,
-                               std::map<std::string, Stamp>& stamps,
-                               std::map<std::string, Stamp>& tombs,
-                               std::uint64_t& clock) const {
+bool ReplicatedMap::read_state(ByteReader& r, State& out) const {
   const std::uint32_t n = r.u32();
   if (!r.ok() || n > kMaxWireEntries) return false;
   for (std::uint32_t i = 0; i < n; ++i) {
     std::string k = r.str();
-    std::string v = r.str();
-    Stamp st;
-    st.lamport = r.u64();
-    st.origin = r.u32();
+    ShadowEntry e;
+    e.value = r.str();
+    e.stamp.lamport = r.u64();
+    e.stamp.origin = r.u32();
     if (!r.ok()) return false;
-    data[k] = std::move(v);
-    stamps[k] = st;
+    out.live.emplace_back(std::move(k), std::move(e));
   }
   const std::uint32_t tn = r.u32();
   if (!r.ok() || tn > kMaxWireEntries) return false;
@@ -130,10 +122,29 @@ bool ReplicatedMap::read_state(ByteReader& r,
     st.lamport = r.u64();
     st.origin = r.u32();
     if (!r.ok()) return false;
-    tombs[k] = st;
+    out.tombs.emplace_back(std::move(k), st);
   }
-  clock = r.u64();
+  out.clock = r.u64();
   return r.ok();
+}
+
+void ReplicatedMap::install(State st) {
+  for (auto it = slots_.begin(); it != slots_.end();) {
+    Slot& s = it->second;
+    s.value.reset();
+    s.tomb = false;
+    s.tomb_link = Link{};
+    it = s.own ? std::next(it) : slots_.erase(it);
+  }
+  live_ = 0;
+  tombs_.clear();
+  for (auto& [k, e] : st.live) set_live(slot(k), std::move(e.value), e.stamp);
+  for (const auto& [k, stamp] : st.tombs) {
+    Slot& s = slot(k);
+    if (s.value && !(s.stamp < stamp)) continue;
+    set_tomb(s, stamp);
+  }
+  lamport_ = std::max(lamport_, st.clock);
 }
 
 void ReplicatedMap::adopt_shadow_as_state() {
@@ -141,23 +152,19 @@ void ReplicatedMap::adopt_shadow_as_state() {
   // state. The shadow is copied, not consumed — if this singleton later
   // merges with the surviving group, reconcile_shadow() still needs it to
   // re-propose recovered-only keys into whatever table wins the merge.
-  data_.clear();
-  stamps_.clear();
+  State st;
+  // retained_here() drops recovered pre-migration foreign keys.
   for (const auto& [k, e] : shadow_) {
-    if (!retained_here(k)) continue;  // recovered pre-migration foreign keys
-    data_[k] = e.value;
-    stamps_[k] = e.stamp;
+    if (retained_here(k)) st.live.emplace_back(k, e);
   }
-  tombstones_.clear();
-  for (const auto& [k, st] : shadow_tombs_) {
-    if (retained_here(k)) tombstones_[k] = st;
+  for (const auto& [k, stamp] : shadow_tombs_) {
+    if (retained_here(k)) st.tombs.emplace_back(k, stamp);
   }
-  tombstone_order_.clear();
-  for (const auto& [k, st] : tombstones_) tombstone_order_.push_back(k);
-  lamport_ = std::max(lamport_, shadow_clock_);
+  st.clock = shadow_clock_;
+  install(std::move(st));
   send_lamport_ = std::max(send_lamport_, lamport_);
   RC_INFO(kMod, "node %u ch%u adopted recovered state: %zu entries, %zu tombs",
-          mux_.self(), channel_, data_.size(), tombstones_.size());
+          mux_.self(), channel_, live_, tombs_.size);
   if (on_change_) on_change_("", std::nullopt, mux_.self());
 }
 
@@ -168,12 +175,10 @@ void ReplicatedMap::on_view(const session::View& v) {
   // loaded by store.recover() FOR this incarnation.
   if (mux_.session().generation() != generation_) {
     generation_ = mux_.session().generation();
-    data_.clear();
-    stamps_.clear();
-    tombstones_.clear();
-    tombstone_order_.clear();
-    my_writes_.clear();
-    my_writes_order_.clear();
+    slots_.clear();
+    live_ = 0;
+    tombs_.clear();
+    own_writes_.clear();
     replay_.clear();
     synced_ = false;
     sync_requested_ = false;
@@ -253,7 +258,7 @@ void ReplicatedMap::put(const std::string& key, const std::string& value) {
   // reassert_own_writes must re-issue the in-flight op, not the previous
   // generation (a fresh-stamped re-put of the older value would outrace and
   // undo this one). The apply-time note with the same stamp is then a no-op.
-  note_own_write(key, st, value);
+  if (ledger_) note_own_write(slot(key), st, &value);
   ByteWriter w(key.size() + value.size() + 32);
   w.u8(static_cast<std::uint8_t>(Op::kPut));
   w.str(key);
@@ -269,7 +274,7 @@ void ReplicatedMap::erase(const std::string& key) {
   erases_.inc();
   const Stamp st = next_send_stamp();
   // Send-time ledger note, same rationale as put().
-  note_own_write(key, st, std::nullopt);
+  if (ledger_) note_own_write(slot(key), st, nullptr);
   ByteWriter w(key.size() + 24);
   w.u8(static_cast<std::uint8_t>(Op::kErase));
   w.str(key);
@@ -279,44 +284,117 @@ void ReplicatedMap::erase(const std::string& key) {
 }
 
 std::optional<std::string> ReplicatedMap::get(const std::string& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
+  const Slot* s = find(key);
+  if (s == nullptr) return std::nullopt;
+  return s->value;
+}
+
+bool ReplicatedMap::Contents::operator==(const Contents& o) const {
+  if (size() != o.size()) return false;
+  for (const auto& [k, v] : *this) {
+    const Slot* s = o.m_->find(k);
+    if (s == nullptr || !s->value || *s->value != v) return false;
+  }
+  return true;
+}
+
+void ReplicatedMap::Fifo::push_back(Slot& s) {
+  Link& l = s.*link;
+  l.prev = tail;
+  l.next = nullptr;
+  (tail != nullptr ? (tail->*link).next : head) = &s;
+  tail = &s;
+  ++size;
+}
+
+void ReplicatedMap::Fifo::unlink(Slot& s) {
+  Link& l = s.*link;
+  (l.prev != nullptr ? (l.prev->*link).next : head) = l.next;
+  (l.next != nullptr ? (l.next->*link).prev : tail) = l.prev;
+  l = Link{};
+  --size;
+}
+
+ReplicatedMap::Slot& ReplicatedMap::slot(const std::string& key) {
+  auto [it, fresh] = slots_.try_emplace(key);
+  if (fresh) it->second.key = &it->first;
   return it->second;
 }
 
-void ReplicatedMap::add_tombstone(const std::string& key, Stamp stamp) {
-  auto it = tombstones_.find(key);
-  if (it != tombstones_.end()) {
-    if (it->second < stamp) it->second = stamp;
+void ReplicatedMap::release_if_empty(Slot& s) {
+  if (s.value || s.tomb || s.own) return;
+  slots_.erase(slots_.find(*s.key));
+}
+
+void ReplicatedMap::set_live(Slot& s, std::string value, Stamp stamp) {
+  if (s.tomb) {
+    tombs_.unlink(s);
+    s.tomb = false;
+  }
+  if (!s.value) ++live_;
+  s.value = std::move(value);
+  s.stamp = stamp;
+}
+
+void ReplicatedMap::set_tomb(Slot& s, Stamp stamp) {
+  if (s.tomb) {
+    if (s.stamp < stamp) s.stamp = stamp;
     return;  // already in the eviction order
   }
-  tombstones_.emplace(key, stamp);
-  tombstone_order_.push_back(key);
-  while (tombstones_.size() > kMaxTombstones && !tombstone_order_.empty()) {
-    const std::string oldest = std::move(tombstone_order_.front());
-    tombstone_order_.pop_front();
-    tombstones_.erase(oldest);  // may be a stale order entry (re-put key)
+  if (s.value) {
+    s.value.reset();
+    --live_;
+  }
+  s.tomb = true;
+  s.stamp = stamp;
+  tombs_.push_back(s);
+  while (tombs_.size > kMaxTombstones) {
+    Slot& oldest = *tombs_.head;
+    tombs_.unlink(oldest);
+    oldest.tomb = false;
+    release_if_empty(oldest);
   }
 }
 
-void ReplicatedMap::note_own_write(const std::string& key, Stamp stamp,
-                                   std::optional<std::string> value) {
-  auto it = my_writes_.find(key);
-  if (it != my_writes_.end()) {
+void ReplicatedMap::note_own_write(Slot& s, Stamp stamp,
+                                   const std::string* value) {
+  if (s.own) {
     // LWW, like every other table: a healing re-proposal of one of our OLD
     // writes can apply after a newer own write (its bounced copy circling
     // through a migration, say) — it must not displace the newer ledger
     // entry, or reassert_own_writes would resurrect history with a fresh
     // stamp.
-    if (it->second.stamp < stamp) it->second = OwnWrite{stamp, std::move(value)};
-    return;
+    if (!(s.own_stamp < stamp)) return;
+  } else {
+    s.own = true;
+    own_writes_.push_back(s);
   }
-  my_writes_.emplace(key, OwnWrite{stamp, std::move(value)});
-  my_writes_order_.push_back(key);
-  while (my_writes_.size() > kMaxOwnWrites && !my_writes_order_.empty()) {
-    const std::string oldest = std::move(my_writes_order_.front());
-    my_writes_order_.pop_front();
-    my_writes_.erase(oldest);
+  s.own_stamp = stamp;
+  if (value != nullptr) {
+    s.own_value = *value;
+  } else {
+    s.own_value.reset();
+  }
+  while (own_writes_.size > kMaxOwnWrites) {
+    Slot& oldest = *own_writes_.head;
+    own_writes_.unlink(oldest);
+    oldest.own = false;
+    oldest.own_value.reset();
+    release_if_empty(oldest);
+  }
+}
+
+void ReplicatedMap::supersede_shadow(const std::string& key, Stamp stamp) {
+  // Superseded shadow state (ours may be the very entry just re-proposed).
+  if (!shadow_.empty()) {
+    auto sh = shadow_.find(key);
+    if (sh != shadow_.end() && !(stamp < sh->second.stamp)) shadow_.erase(sh);
+  }
+  if (!shadow_tombs_.empty()) {
+    auto sht = shadow_tombs_.find(key);
+    if (sht != shadow_tombs_.end() && !(stamp < sht->second)) {
+      shadow_tombs_.erase(sht);
+    }
   }
 }
 
@@ -325,25 +403,24 @@ void ReplicatedMap::apply_put(const std::string& key, std::string value,
   RC_TRACE(kMod, "node %u ch%u put %s=%s (origin %u)", mux_.self(), channel_,
            key.c_str(), value.c_str(), origin);
   lamport_ = std::max(lamport_, stamp.lamport);
-  data_[key] = std::move(value);
-  stamps_[key] = stamp;
-  tombstones_.erase(key);
+  Slot& s = slot(key);
+  set_live(s, std::move(value), stamp);
   // A live-stream apply supersedes whatever the shadow recovered for the key.
-  shadow_.erase(key);
-  shadow_tombs_.erase(key);
-  if (origin == mux_.self()) note_own_write(key, stamp, data_[key]);
-  journal(Op::kPut, key, data_[key], stamp);
-  if (on_change_) on_change_(key, data_[key], origin);
+  if (!shadow_.empty()) shadow_.erase(key);
+  if (!shadow_tombs_.empty()) shadow_tombs_.erase(key);
+  if (ledger_ && origin == mux_.self()) note_own_write(s, stamp, &*s.value);
+  journal(Op::kPut, key, *s.value, stamp);
+  if (on_change_) on_change_(key, s.value, origin);
 }
 
 void ReplicatedMap::apply_erase(const std::string& key, NodeId origin,
                                 Stamp stamp) {
   lamport_ = std::max(lamport_, stamp.lamport);
-  const bool existed = data_.erase(key) > 0;
-  stamps_.erase(key);
-  add_tombstone(key, stamp);
-  shadow_.erase(key);
-  if (origin == mux_.self()) note_own_write(key, stamp, std::nullopt);
+  Slot& s = slot(key);
+  const bool existed = s.value.has_value();
+  set_tomb(s, stamp);
+  if (!shadow_.empty()) shadow_.erase(key);
+  if (ledger_ && origin == mux_.self()) note_own_write(s, stamp, nullptr);
   journal(Op::kErase, key, std::string(), stamp);
   if (existed && on_change_) on_change_(key, std::nullopt, origin);
 }
@@ -364,51 +441,27 @@ void ReplicatedMap::apply_repropose_put(const std::string& key,
   // LWW guard over replicated state only (every replica must take the same
   // branch at the same point of the agreed stream): a same-or-newer live
   // entry or tombstone means this recovered mutation is history — drop it.
-  auto s = stamps_.find(key);
-  if (s != stamps_.end() && !(s->second < stamp)) {
-    return;
-  }
-  auto t = tombstones_.find(key);
-  if (t != tombstones_.end() && !(t->second < stamp)) {
-    return;
-  }
+  Slot& s = slot(key);
+  if ((s.value || s.tomb) && !(s.stamp < stamp)) return;
   lamport_ = std::max(lamport_, stamp.lamport);
-  data_[key] = std::move(value);
-  stamps_[key] = stamp;
-  tombstones_.erase(key);
-  // Superseded shadow state (ours may be the very entry just re-proposed).
-  auto sh = shadow_.find(key);
-  if (sh != shadow_.end() && !(stamp < sh->second.stamp)) shadow_.erase(sh);
-  auto sht = shadow_tombs_.find(key);
-  if (sht != shadow_tombs_.end() && !(stamp < sht->second)) {
-    shadow_tombs_.erase(sht);
+  set_live(s, std::move(value), stamp);
+  supersede_shadow(key, stamp);
+  if (ledger_ && stamp.origin == mux_.self()) {
+    note_own_write(s, stamp, &*s.value);
   }
-  if (stamp.origin == mux_.self()) note_own_write(key, stamp, data_[key]);
-  journal(Op::kPut, key, data_[key], stamp);
-  if (on_change_) on_change_(key, data_[key], stamp.origin);
+  journal(Op::kPut, key, *s.value, stamp);
+  if (on_change_) on_change_(key, s.value, stamp.origin);
 }
 
 void ReplicatedMap::apply_repropose_erase(const std::string& key,
                                           Stamp stamp) {
-  auto s = stamps_.find(key);
-  if (s != stamps_.end() && !(s->second < stamp)) {
-    return;
-  }
-  auto t = tombstones_.find(key);
-  if (t != tombstones_.end() && !(t->second < stamp)) {
-    return;
-  }
+  Slot& s = slot(key);
+  if ((s.value || s.tomb) && !(s.stamp < stamp)) return;
   lamport_ = std::max(lamport_, stamp.lamport);
-  const bool existed = data_.erase(key) > 0;
-  stamps_.erase(key);
-  add_tombstone(key, stamp);
-  auto sh = shadow_.find(key);
-  if (sh != shadow_.end() && !(stamp < sh->second.stamp)) shadow_.erase(sh);
-  auto sht = shadow_tombs_.find(key);
-  if (sht != shadow_tombs_.end() && !(stamp < sht->second)) {
-    shadow_tombs_.erase(sht);
-  }
-  if (stamp.origin == mux_.self()) note_own_write(key, stamp, std::nullopt);
+  const bool existed = s.value.has_value();
+  set_tomb(s, stamp);
+  supersede_shadow(key, stamp);
+  if (ledger_ && stamp.origin == mux_.self()) note_own_write(s, stamp, nullptr);
   journal(Op::kErase, key, std::string(), stamp);
   if (existed && on_change_) on_change_(key, std::nullopt, stamp.origin);
 }
@@ -428,34 +481,28 @@ void ReplicatedMap::reconcile_shadow() {
   send_lamport_ = std::max(send_lamport_, lamport_);
   std::size_t reproposed = 0;
   for (const auto& [k, e] : shadow_) {
-    auto s = stamps_.find(k);
-    if (s != stamps_.end() && !(s->second < e.stamp)) {
-      continue;  // live state wins when same-or-newer
-    }
-    // Live absent OR strictly older than what we durably witnessed: after a
+    // Live state wins when same-or-newer, and a same-or-newer tombstone
+    // (deleted while we were down) keeps the key dead. Otherwise — live
+    // absent OR strictly older than what we durably witnessed: after a
     // cluster-wide restart the surviving group may have recovered from a
     // staler log than ours, rolling back past a write that was acknowledged
-    // durable here. Re-propose our copy — with its ORIGINAL stamp, so that
+    // durable here — re-propose our copy with its ORIGINAL stamp, so that
     // if another node concurrently re-proposes an older generation of the
     // same key, last-writer-wins resolves the race the right way whatever
     // order the proposals land in.
-    auto t = tombstones_.find(k);
-    if (t != tombstones_.end() && !(t->second < e.stamp)) {
-      continue;  // deleted (same-or-newer) while we were down — stays dead
+    const Slot* s = find(k);
+    if (s != nullptr && (s->value || s->tomb) && !(s->stamp < e.stamp)) {
+      continue;
     }
     ++reproposed;
     reproposed_.inc();
     send_repropose(Op::kReproposePut, k, e.value, e.stamp);
   }
   for (const auto& [k, st] : shadow_tombs_) {
-    auto t = tombstones_.find(k);
-    if (t != tombstones_.end() && !(t->second < st)) {
-      continue;  // the group already remembers a same-or-newer deletion
-    }
-    auto s = stamps_.find(k);
-    if (s != stamps_.end() && !(s->second < st)) {
-      continue;  // a genuinely newer live write outranks our tombstone
-    }
+    // The group already remembers a same-or-newer deletion, or a genuinely
+    // newer live write outranks our tombstone.
+    const Slot* s = find(k);
+    if (s != nullptr && (s->value || s->tomb) && !(s->stamp < st)) continue;
     // Either the live entry is a resurrection from an older history, or the
     // group has no memory of this durably-witnessed deletion at all. Propose
     // the tombstone (original stamp) so a belated re-proposal of the dead
@@ -475,33 +522,28 @@ void ReplicatedMap::reassert_own_writes() {
   // wipe writes this node already saw applied (they were acknowledged). The
   // ledger holds our latest write per key; anything the adopted table lost
   // — and no newer stamp supersedes — goes back through the agreed stream.
-  for (const auto& [k, w] : my_writes_) {
-    if (w.value) {
-      auto s = stamps_.find(k);
-      if (s != stamps_.end() && !(s->second < w.stamp)) continue;
-      auto t = tombstones_.find(k);
-      if (t != tombstones_.end() && !(t->second < w.stamp)) continue;
+  // put()/erase() below update rows in place (a row exists for each key
+  // here), so the ledger walk is not disturbed.
+  for (Slot* s = own_writes_.head; s != nullptr; s = s->own_link.next) {
+    const std::string& k = *s->key;
+    if (s->own_value) {
+      if ((s->value || s->tomb) && !(s->stamp < s->own_stamp)) continue;
       reasserted_.inc();
-      put(k, *w.value);
-    } else {
-      auto s = stamps_.find(k);
-      auto t = tombstones_.find(k);
-      if (s != stamps_.end() && s->second < w.stamp) {
-        // A stale generation of the entry resurfaced: cancel it with a
-        // fresh stamp through our own stream.
-        reasserted_.inc();
-        erase(k);
-      } else if (s == stamps_.end() &&
-                 (t == tombstones_.end() || t->second < w.stamp)) {
-        // The adopted table has neither the entry nor any memory of its
-        // deletion (a merge replaced it with a side that never saw the
-        // erase, or the tombstone aged out). Re-propose the tombstone with
-        // its ORIGINAL stamp: if the key migrated away meanwhile, the
-        // bounce re-routes it to the owner, where LWW lets it kill exactly
-        // the generations older than the acknowledged deletion.
-        reasserted_.inc();
-        send_repropose(Op::kReproposeErase, k, std::string(), w.stamp);
-      }
+      put(k, std::string(*s->own_value));
+    } else if (s->value && s->stamp < s->own_stamp) {
+      // A stale generation of the entry resurfaced: cancel it with a fresh
+      // stamp through our own stream.
+      reasserted_.inc();
+      erase(k);
+    } else if (!s->value && (!s->tomb || s->stamp < s->own_stamp)) {
+      // The adopted table has neither the entry nor any memory of its
+      // deletion (a merge replaced it with a side that never saw the
+      // erase, or the tombstone aged out). Re-propose the tombstone with
+      // its ORIGINAL stamp: if the key migrated away meanwhile, the bounce
+      // re-routes it to the owner, where LWW lets it kill exactly the
+      // generations older than the acknowledged deletion.
+      reasserted_.inc();
+      send_repropose(Op::kReproposeErase, k, std::string(), s->own_stamp);
     }
   }
 }
@@ -572,19 +614,11 @@ void ReplicatedMap::on_message(NodeId origin, const Slice& payload) {
       NodeId addressee = r.u32();
       if (!r.ok()) return;
       if (addressee != mux_.self() || synced_) return;
-      std::map<std::string, std::string> data;
-      std::map<std::string, Stamp> stamps;
-      std::map<std::string, Stamp> tombs;
-      std::uint64_t clock = 0;
-      if (!read_state(r, data, stamps, tombs, clock)) return;
-      strip_foreign(data, stamps, tombs);
+      State st;
+      if (!read_state(r, st)) return;
+      strip_foreign(st);
       reroute_strangers();  // our dying pre-sync state may outrank the owner's
-      data_ = std::move(data);
-      stamps_ = std::move(stamps);
-      tombstones_ = std::move(tombs);
-      tombstone_order_.clear();
-      for (const auto& [k, st] : tombstones_) tombstone_order_.push_back(k);
-      lamport_ = std::max(lamport_, clock);
+      install(std::move(st));
       synced_ = true;
       sync_ops_.inc();
       // Replay the operations ordered after our sync request but before the
@@ -593,7 +627,7 @@ void ReplicatedMap::on_message(NodeId origin, const Slice& payload) {
       replay.swap(replay_);
       for (auto& [o, p] : replay) on_message(o, p);
       RC_INFO(kMod, "node %u synced snapshot of %zu entries (+%zu replayed)",
-              mux_.self(), data_.size(), replay.size());
+              mux_.self(), live_, replay.size());
       // Anything we recovered that the group does not know about (and did
       // not tombstone) goes back through the agreed stream.
       reconcile_shadow();
@@ -639,26 +673,18 @@ void ReplicatedMap::on_message(NodeId origin, const Slice& payload) {
       break;
     }
     case Op::kReconcile: {
-      std::map<std::string, std::string> data;
-      std::map<std::string, Stamp> stamps;
-      std::map<std::string, Stamp> tombs;
-      std::uint64_t clock = 0;
-      if (!read_state(r, data, stamps, tombs, clock)) return;
-      strip_foreign(data, stamps, tombs);
+      State st;
+      if (!read_state(r, st)) return;
+      strip_foreign(st);
       reroute_strangers();  // our dying state may hold migrated-away keys
       // Everyone — the sender included — replaces contents at this point in
       // the agreed stream, so diverged replicas reconverge identically.
-      data_ = std::move(data);
-      stamps_ = std::move(stamps);
-      tombstones_ = std::move(tombs);
-      tombstone_order_.clear();
-      for (const auto& [k, st] : tombstones_) tombstone_order_.push_back(k);
-      lamport_ = std::max(lamport_, clock);
+      install(std::move(st));
       synced_ = true;
       sync_ops_.inc();
       replay_.clear();
       RC_INFO(kMod, "node %u reconciled to %zu entries from %u", mux_.self(),
-              data_.size(), origin);
+              live_, origin);
       reconcile_shadow();
       reassert_own_writes();
       if (store_ != nullptr && store_->is_open()) store_->compact();
@@ -712,14 +738,11 @@ std::vector<Bytes> ReplicatedMap::collect_range_chunks(
     ++records;
     if (w.view().size() >= budget) flush();
   };
-  for (const auto& [k, v] : data_) {
-    if (!pred(k)) continue;
-    auto it = stamps_.find(k);
-    record(false, k, v, it != stamps_.end() ? it->second : Stamp{});
+  for (const auto& [k, s] : slots_) {
+    if (s.value && pred(k)) record(false, k, *s.value, s.stamp);
   }
-  for (const auto& [k, st] : tombstones_) {
-    if (!pred(k)) continue;
-    record(true, k, std::string(), st);
+  for (const Slot* t = tombs_.head; t != nullptr; t = t->tomb_link.next) {
+    if (pred(*t->key)) record(true, *t->key, std::string(), t->stamp);
   }
   flush();
   return out;
@@ -748,36 +771,28 @@ void ReplicatedMap::apply_migration_chunk(ByteReader& r) {
 std::size_t ReplicatedMap::drop_range(const KeyPred& pred, bool reroute) {
   // A hand-off, not a delete: no change events, no tombstones, no journal
   // records — the caller compacts the bound store afterwards so the
-  // snapshot hook persists the post-drop state.
+  // snapshot hook persists the post-drop state. The own-write ledger rows
+  // and the recovery shadow follow the keys out — a later reconcile or
+  // reassert must not resurrect what this partition handed off.
   std::size_t dropped = 0;
-  for (auto it = data_.begin(); it != data_.end();) {
-    if (pred(it->first)) {
-      if (reroute && bounce_fn_) {
-        auto st = stamps_.find(it->first);
-        bounce_fn_(false, it->first, it->second,
-                   st != stamps_.end() ? st->second : Stamp{});
-      }
-      stamps_.erase(it->first);
-      it = data_.erase(it);
+  for (auto it = slots_.begin(); it != slots_.end();) {
+    Slot& s = it->second;
+    if (!pred(it->first)) {
+      ++it;
+      continue;
+    }
+    if (s.value) {
+      if (reroute && bounce_fn_) bounce_fn_(false, it->first, *s.value, s.stamp);
+      --live_;
       ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = tombstones_.begin(); it != tombstones_.end();) {
-    if (pred(it->first)) {
+    } else if (s.tomb) {
       if (reroute && bounce_fn_) {
-        bounce_fn_(true, it->first, std::string(), it->second);
+        bounce_fn_(true, it->first, std::string(), s.stamp);
       }
-      it = tombstones_.erase(it);
-    } else {
-      ++it;
+      tombs_.unlink(s);
     }
-  }
-  // The own-write ledger and recovery shadow follow the keys out — a later
-  // reconcile/reassert must not resurrect what this partition handed off.
-  for (auto it = my_writes_.begin(); it != my_writes_.end();) {
-    it = pred(it->first) ? my_writes_.erase(it) : std::next(it);
+    if (s.own) own_writes_.unlink(s);
+    it = slots_.erase(it);
   }
   for (auto it = shadow_.begin(); it != shadow_.end();) {
     it = pred(it->first) ? shadow_.erase(it) : std::next(it);
@@ -790,36 +805,23 @@ std::size_t ReplicatedMap::drop_range(const KeyPred& pred, bool reroute) {
 
 void ReplicatedMap::reroute_strangers() {
   if (!bounce_fn_ || (!owner_fn_ && !retain_fn_)) return;
-  for (const auto& [k, v] : data_) {
-    if (retained_here(k)) continue;
-    auto st = stamps_.find(k);
-    bounce_fn_(false, k, v, st != stamps_.end() ? st->second : Stamp{});
-  }
-  for (const auto& [k, st] : tombstones_) {
-    if (retained_here(k)) continue;
-    bounce_fn_(true, k, std::string(), st);
+  for (const auto& [k, s] : slots_) {
+    if ((!s.value && !s.tomb) || retained_here(k)) continue;
+    if (s.value) {
+      bounce_fn_(false, k, *s.value, s.stamp);
+    } else {
+      bounce_fn_(true, k, std::string(), s.stamp);
+    }
   }
 }
 
-void ReplicatedMap::strip_foreign(std::map<std::string, std::string>& data,
-                                  std::map<std::string, Stamp>& stamps,
-                                  std::map<std::string, Stamp>& tombs) const {
+void ReplicatedMap::strip_foreign(State& st) const {
   if (!owner_fn_ && !retain_fn_) return;
-  for (auto it = data.begin(); it != data.end();) {
-    if (!retained_here(it->first)) {
-      stamps.erase(it->first);
-      it = data.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = tombs.begin(); it != tombs.end();) {
-    if (!retained_here(it->first)) {
-      it = tombs.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  auto foreign = [this](const auto& e) { return !retained_here(e.first); };
+  st.live.erase(std::remove_if(st.live.begin(), st.live.end(), foreign),
+                st.live.end());
+  st.tombs.erase(std::remove_if(st.tombs.begin(), st.tombs.end(), foreign),
+                 st.tombs.end());
 }
 
 }  // namespace raincore::data

@@ -25,13 +25,23 @@
 // were deleted while the node was down. A bounded own-write ledger
 // re-asserts this node's latest acknowledged writes after any wholesale
 // reconcile adoption (mirror of the lock manager's self-heal).
+//
+// Per-key state lives in one hash table: a key's slot holds its live value
+// and stamp, or its tombstone, and this node's own-write ledger row, so a
+// steady-state apply costs one lookup. Tombstones and ledger rows keep
+// insertion-order FIFOs (intrusive lists through the slots) for their
+// bounded eviction. Iteration order — of contents(), snapshots and
+// migration chunks — is unspecified; the snapshot byte format is not.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <functional>
-#include <map>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "data/channel_mux.h"
 #include "storage/shard_store.h"
@@ -73,23 +83,37 @@ class ReplicatedMap {
   using RetainFn = std::function<bool(const std::string& key)>;
 
   ReplicatedMap(ChannelMux& mux, Channel channel);
+  ReplicatedMap(const ReplicatedMap&) = delete;
+  ReplicatedMap& operator=(const ReplicatedMap&) = delete;
 
   /// Replicated mutations (applied locally when the own multicast returns
   /// around the ring — same order as everywhere else).
   void put(const std::string& key, const std::string& value);
   void erase(const std::string& key);
 
+  class Contents;
   /// Local reads.
   std::optional<std::string> get(const std::string& key) const;
-  bool contains(const std::string& key) const { return data_.count(key) > 0; }
-  std::size_t size() const { return data_.size(); }
-  const std::map<std::string, std::string>& contents() const { return data_; }
+  bool contains(const std::string& key) const {
+    const Slot* s = find(key);
+    return s != nullptr && s->value;
+  }
+  std::size_t size() const { return live_; }
+  /// The live (key, value) entries, in unspecified order. Iterators are
+  /// invalidated by any mutation, put()/erase() of a new key included.
+  Contents contents() const;
 
   /// True once this replica has caught up with the group state (always true
   /// for founding members; joiners flip after their snapshot arrives).
   bool synced() const { return synced_; }
 
   void set_change_handler(ChangeFn fn) { on_change_ = std::move(fn); }
+
+  /// Stops recording own writes, so reconcile adoptions re-assert nothing.
+  /// For state that a single writer recomputes after every merge (the VIP
+  /// assignment): re-asserting each side's pre-merge writes would fight it.
+  /// Call before the first write.
+  void disable_own_write_ledger() { ledger_ = false; }
 
   /// Binds a durable store: applies journal under `stream`, and the next
   /// store.recover() loads the shadow state this map reconciles from. Call
@@ -144,7 +168,8 @@ class ReplicatedMap {
   /// True when the key is absent because a tombstone shadows it (readers
   /// must not fall back to the migration source in that case).
   bool tombstoned(const std::string& key) const {
-    return tombstones_.count(key) > 0;
+    const Slot* s = find(key);
+    return s != nullptr && s->tomb;
   }
 
   /// Highest Lamport value this replica has seen or sent. A writer that
@@ -174,19 +199,55 @@ class ReplicatedMap {
     kReproposeErase = 7,
   };
 
+  struct Slot;
+  /// A slot's neighbours in one Fifo.
+  struct Link {
+    Slot* prev = nullptr;
+    Slot* next = nullptr;
+  };
+  /// Insertion-order list threaded through the slots by their `link`
+  /// member; slots are unordered_map nodes, whose addresses survive rehash.
+  struct Fifo {
+    explicit Fifo(Link Slot::*l) : link(l) {}
+    void push_back(Slot& s);
+    void unlink(Slot& s);
+    void clear() { *this = Fifo(link); }
+    Link Slot::*link;
+    Slot* head = nullptr;
+    Slot* tail = nullptr;
+    std::size_t size = 0;
+  };
+  /// Everything this replica holds for one key. A slot exists while it is
+  /// live, tombstoned or carries a ledger row; live and tombstoned are
+  /// exclusive, and `stamp` belongs to whichever holds.
+  struct Slot {
+    const std::string* key = nullptr;  ///< this slot's map key
+    std::optional<std::string> value;  ///< live value; nullopt = absent
+    Stamp stamp;
+    bool tomb = false;
+    Link tomb_link;
+    /// Own-write ledger row: this node's latest write of the key (a
+    /// nullopt own_value with own set = an erase).
+    bool own = false;
+    Stamp own_stamp;
+    std::optional<std::string> own_value;
+    Link own_link;
+  };
   struct ShadowEntry {
     std::string value;
     Stamp stamp;
   };
-  struct OwnWrite {
-    Stamp stamp;
-    std::optional<std::string> value;  ///< nullopt = erase
+  /// A decoded snapshot/reconcile state, in wire order.
+  struct State {
+    std::vector<std::pair<std::string, ShadowEntry>> live;
+    std::vector<std::pair<std::string, Stamp>> tombs;
+    std::uint64_t clock = 0;
   };
 
-  /// Bounds for the two unbounded-history side tables (FIFO eviction; the
-  /// deques record insertion order). Past the bound the map silently
-  /// forgets oldest deletions/own-writes — the healing guarantees then
-  /// cover only the most recent entries, which is the documented contract.
+  /// Bounds for the two unbounded-history side tables (FIFO eviction in
+  /// insertion order). Past the bound the map silently forgets oldest
+  /// deletions/own-writes — the healing guarantees then cover only the
+  /// most recent entries, which is the documented contract.
   static constexpr std::size_t kMaxTombstones = 8192;
   static constexpr std::size_t kMaxOwnWrites = 2048;
 
@@ -201,19 +262,34 @@ class ReplicatedMap {
                            Stamp stamp);
   void apply_repropose_erase(const std::string& key, Stamp stamp);
   Stamp next_send_stamp();
-  void add_tombstone(const std::string& key, Stamp stamp);
-  void note_own_write(const std::string& key, Stamp stamp,
-                      std::optional<std::string> value);
+  /// The key's slot, created empty if absent.
+  Slot& slot(const std::string& key);
+  const Slot* find(const std::string& key) const {
+    auto it = slots_.find(key);
+    return it == slots_.end() ? nullptr : &it->second;
+  }
+  /// Drops a slot that is neither live, tombstoned nor a ledger row.
+  void release_if_empty(Slot& s);
+  void set_live(Slot& s, std::string value, Stamp stamp);
+  /// Tombstones the slot (keeping the newer stamp of an existing
+  /// tombstone) and evicts the oldest tombstones past kMaxTombstones.
+  void set_tomb(Slot& s, Stamp stamp);
+  /// Ledger row for an own write (`value` nullptr = erase), LWW against an
+  /// existing row; evicts the oldest rows past kMaxOwnWrites.
+  void note_own_write(Slot& s, Stamp stamp, const std::string* value);
+  /// Drops the shadow entries of `key` that a re-proposal stamped `stamp`
+  /// supersedes (same-or-older ones).
+  void supersede_shadow(const std::string& key, Stamp stamp);
   void journal(Op op, const std::string& key, const std::string& value,
                Stamp stamp);
   /// Reusable scratch buffer for journal() — cleared per record, capacity
   /// retained, so the per-apply durability hot path is allocation-free.
   ByteWriter journal_w_;
   void write_state(ByteWriter& w) const;
-  bool read_state(ByteReader& r, std::map<std::string, std::string>& data,
-                  std::map<std::string, Stamp>& stamps,
-                  std::map<std::string, Stamp>& tombs,
-                  std::uint64_t& clock) const;
+  bool read_state(ByteReader& r, State& out) const;
+  /// Replaces the replicated state (live entries and tombstones) with
+  /// `st`, keeping the own-write ledger.
+  void install(State st);
   void adopt_shadow_as_state();
   void reconcile_shadow();
   void reassert_own_writes();
@@ -226,9 +302,7 @@ class ReplicatedMap {
     return retain_fn_ ? retain_fn_(key) : owned_here(key);
   }
   /// Drops foreign keys from a wholesale adoption before it is installed.
-  void strip_foreign(std::map<std::string, std::string>& data,
-                     std::map<std::string, Stamp>& stamps,
-                     std::map<std::string, Stamp>& tombs) const;
+  void strip_foreign(State& st) const;
   /// Re-proposes every local entry/tombstone the retention predicate no
   /// longer accepts to its current owner (original stamps). Called before a
   /// wholesale adoption replaces local state: a stranger we hold may be
@@ -238,10 +312,11 @@ class ReplicatedMap {
 
   ChannelMux& mux_;
   Channel channel_;
-  std::map<std::string, std::string> data_;
-  std::map<std::string, Stamp> stamps_;  ///< stamp of each live entry
-  std::map<std::string, Stamp> tombstones_;
-  std::deque<std::string> tombstone_order_;
+  std::unordered_map<std::string, Slot> slots_;
+  std::size_t live_ = 0;  ///< slots holding a value
+  Fifo tombs_{&Slot::tomb_link};
+  Fifo own_writes_{&Slot::own_link};
+  bool ledger_ = true;  ///< see disable_own_write_ledger()
   std::uint64_t lamport_ = 0;       ///< max stamp applied so far
   std::uint64_t send_lamport_ = 0;  ///< last stamp this node sent
   bool synced_ = false;
@@ -260,14 +335,10 @@ class ReplicatedMap {
   /// Recovered-but-not-yet-reconciled state (loaded by store.recover()).
   /// Survives the generation-change wipe: it belongs to the NEXT
   /// incarnation, not the previous one.
-  std::map<std::string, ShadowEntry> shadow_;
-  std::map<std::string, Stamp> shadow_tombs_;
+  std::unordered_map<std::string, ShadowEntry> shadow_;
+  std::unordered_map<std::string, Stamp> shadow_tombs_;
   std::uint64_t shadow_clock_ = 0;
   bool shadow_valid_ = false;
-  /// This node's latest write per key, re-asserted after a reconcile
-  /// adoption wipes state this node already saw applied.
-  std::map<std::string, OwnWrite> my_writes_;
-  std::deque<std::string> my_writes_order_;
   storage::ShardStore* store_ = nullptr;
   std::uint16_t stream_ = 0;
   ChangeFn on_change_;
@@ -293,5 +364,57 @@ class ReplicatedMap {
   Histogram& convergence_lag_ =
       metrics_.histogram("data.map.convergence_lag_ns");
 };
+
+/// Read-only view of a ReplicatedMap's live entries. Iterates (key, value)
+/// pairs; compares equal to another view holding the same entries, in any
+/// order.
+class ReplicatedMap::Contents {
+  using Base = std::unordered_map<std::string, Slot>::const_iterator;
+
+ public:
+  class const_iterator {
+   public:
+    using value_type = std::pair<const std::string&, const std::string&>;
+    using reference = value_type;
+    using difference_type = std::ptrdiff_t;
+    using iterator_category = std::input_iterator_tag;
+
+    const_iterator(Base it, Base end) : it_(it), end_(end) { skip(); }
+    value_type operator*() const { return {it_->first, *it_->second.value}; }
+    const_iterator& operator++() {
+      ++it_;
+      skip();
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return it_ == o.it_; }
+    bool operator!=(const const_iterator& o) const { return it_ != o.it_; }
+
+   private:
+    void skip() {
+      while (it_ != end_ && !it_->second.value) ++it_;
+    }
+    Base it_;
+    Base end_;
+  };
+  using iterator = const_iterator;
+  using value_type = const_iterator::value_type;
+
+  explicit Contents(const ReplicatedMap& m) : m_(&m) {}
+  std::size_t size() const { return m_->size(); }
+  bool empty() const { return size() == 0; }
+  const_iterator begin() const {
+    return {m_->slots_.begin(), m_->slots_.end()};
+  }
+  const_iterator end() const { return {m_->slots_.end(), m_->slots_.end()}; }
+  bool operator==(const Contents& o) const;
+  bool operator!=(const Contents& o) const { return !(*this == o); }
+
+ private:
+  const ReplicatedMap* m_;
+};
+
+inline ReplicatedMap::Contents ReplicatedMap::contents() const {
+  return Contents(*this);
+}
 
 }  // namespace raincore::data

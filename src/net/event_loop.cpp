@@ -4,42 +4,22 @@ namespace raincore::net {
 
 TimerId EventLoop::schedule_at(Time when, EventFn fn) {
   if (when < now()) when = now();
-  TimerId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  live_.insert(id);
-  return id;
+  return timers_.schedule_at(when, std::move(fn));
 }
 
 bool EventLoop::step() {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (cancelled_.erase(top.id) > 0) {
-      queue_.pop();
-      continue;
-    }
-    Event ev{top.when, top.seq, top.id, std::move(const_cast<Event&>(top).fn)};
-    queue_.pop();
-    live_.erase(ev.id);
-    clock_.advance_to(ev.when);
-    ev.fn();
-    return true;
-  }
-  return false;
+  Time next = timers_.next_deadline();
+  if (next < 0) return false;
+  clock_.advance_to(next);
+  timers_.fire_next();
+  return true;
 }
 
 void EventLoop::run_until(Time deadline) {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (cancelled_.erase(top.id) > 0) {
-      queue_.pop();
-      continue;
-    }
-    if (top.when > deadline) break;
-    Event ev{top.when, top.seq, top.id, std::move(const_cast<Event&>(top).fn)};
-    queue_.pop();
-    live_.erase(ev.id);
-    clock_.advance_to(ev.when);
-    ev.fn();
+  for (Time next = timers_.next_deadline(); next >= 0 && next <= deadline;
+       next = timers_.next_deadline()) {
+    clock_.advance_to(next);
+    timers_.fire_next();
   }
   clock_.advance_to(deadline);
 }

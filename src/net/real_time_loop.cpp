@@ -4,8 +4,10 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <ctime>
 #include <stdexcept>
 
 namespace raincore::net {
@@ -43,7 +45,7 @@ RealTimeLoop::~RealTimeLoop() {
 TimerId RealTimeLoop::schedule_at(Time when, EventFn fn) {
   Time t = now();
   if (when < t) when = t;
-  return wheel_.schedule_at(when, std::move(fn));
+  return timers_.schedule_at(when, std::move(fn));
 }
 
 void RealTimeLoop::post(EventFn fn) {
@@ -93,26 +95,25 @@ bool RealTimeLoop::iterate(Time deadline) {
 
   drain_posted();
   if (service_) service_();
-  wheel_.advance(now());
+  timers_.advance(now());
 
   // Block until the earliest of: next timer, run_for deadline, an fd
   // becoming readable, or an eventfd wake from post()/stop().
-  Time next = wheel_.next_deadline();
+  Time next = timers_.next_deadline();
   if (deadline >= 0 && (next < 0 || deadline < next)) next = deadline;
-  int timeout_ms = -1;
+  // The timeout is nanosecond-exact (epoll_pwait2), so a timer set a
+  // fraction of a millisecond ahead does not wait for a whole-ms wake-up.
+  timespec timeout{};
   if (next >= 0) {
-    Time gap = next - now();
-    if (gap <= 0) {
-      timeout_ms = 0;
-    } else {
-      // Round up so we never wake a hair early and spin.
-      timeout_ms = static_cast<int>((gap + kNanosPerMilli - 1) / kNanosPerMilli);
-    }
+    const Time gap = std::max<Time>(next - now(), 0);
+    timeout.tv_sec = static_cast<std::time_t>(gap / kNanosPerSec);
+    timeout.tv_nsec = static_cast<long>(gap % kNanosPerSec);
   }
 
   epoll_event events[kMaxEpollEvents];
-  int n = epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout_ms);
-  if (n < 0 && errno != EINTR) throw std::runtime_error("epoll_wait failed");
+  int n = epoll_pwait2(epoll_fd_, events, kMaxEpollEvents,
+                       next < 0 ? nullptr : &timeout, nullptr);
+  if (n < 0 && errno != EINTR) throw std::runtime_error("epoll_pwait2 failed");
 
   for (int i = 0; i < n; ++i) {
     int fd = events[i].data.fd;
@@ -130,7 +131,7 @@ bool RealTimeLoop::iterate(Time deadline) {
 
   drain_posted();
   if (service_) service_();
-  wheel_.advance(now());
+  timers_.advance(now());
   return !stop_.load(std::memory_order_acquire);
 }
 
@@ -150,7 +151,7 @@ void RealTimeLoop::run_for(Time d) {
   while (now() < deadline && iterate(deadline)) {
   }
   drain_posted();
-  wheel_.advance(now());
+  timers_.advance(now());
   running_.store(false, std::memory_order_release);
 }
 

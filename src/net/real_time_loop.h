@@ -5,17 +5,18 @@
 // sources:
 //   * non-blocking fds registered with watch_fd() (edge-triggered EPOLLIN
 //     — handlers must drain until EAGAIN),
-//   * timers on a hashed TimerWheel (schedule_at/cancel, Scheduler
-//     contract identical to the simulator loop),
+//   * timers on a TimerQueue (schedule_at/cancel; the simulator loop's
+//     timer store, so the Scheduler contract is the same code),
 //   * closures post()ed from other threads, handed over under a short
 //     mutex and signalled through an eventfd so a blocked epoll_wait wakes
 //     immediately.
 //
 // post() is the ONLY cross-thread entry point; schedule/cancel/watch_fd
 // belong to the loop thread (calling them before run() starts, while the
-// owning thread is still setting up, is also fine). The epoll_wait timeout
-// is derived from the wheel's next deadline, so timers fire within one
-// wheel granularity of their deadline without any periodic tick when idle.
+// owning thread is still setting up, is also fine). The epoll timeout is
+// the timer queue's next deadline to the nanosecond (epoll_pwait2), so timers
+// fire within the kernel's timer slack of their deadline without any
+// periodic tick when idle.
 #pragma once
 
 #include <atomic>
@@ -27,7 +28,7 @@
 #include "common/clock.h"
 #include "common/types.h"
 #include "net/scheduler.h"
-#include "net/timer_wheel.h"
+#include "net/timer_queue.h"
 
 namespace raincore::net {
 
@@ -43,8 +44,8 @@ class RealTimeLoop final : public Scheduler {
   // Scheduler interface (loop thread).
   Time now() const override { return clock_.now(); }
   TimerId schedule_at(Time when, EventFn fn) override;
-  void cancel(TimerId id) override { wheel_.cancel(id); }
-  std::size_t pending() const override { return wheel_.pending(); }
+  void cancel(TimerId id) override { timers_.cancel(id); }
+  std::size_t pending() const override { return timers_.pending(); }
 
   /// Thread-safe: enqueues fn to run on the loop thread and wakes a
   /// blocked epoll_wait via the eventfd. Callable before run() (drained on
@@ -91,7 +92,7 @@ class RealTimeLoop final : public Scheduler {
   RealClock clock_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
-  TimerWheel wheel_;
+  TimerQueue timers_;
   std::unordered_map<int, FdFn> fd_handlers_;
 
   std::mutex post_mu_;

@@ -1,15 +1,20 @@
 // Durable data plane: persist/recover across process lifetimes, rejoin
 // reconciliation (no resurrection of deleted entries), full-cluster restart
-// recovery, and the seeded restart-storm sweep with the durability oracle.
+// recovery, the seeded restart-storm sweep with the durability oracle, and
+// the replicated map's bounded tombstone/own-write tables and snapshot
+// entry order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "storage/shard_store.h"
 #include "testing/chaos_cluster.h"
 
 namespace raincore {
@@ -46,6 +51,135 @@ SimCluster dur_cluster(std::vector<NodeId> ids, const std::string& root,
   stack.storage.dir = root;
   stack.storage.snapshot_every = 64;
   return SimCluster(std::move(ids), {}, {}, stack);
+}
+
+/// A plain ReplicatedMap on channel 1, no store.
+SimCluster map_cluster(std::vector<NodeId> ids) {
+  SimStack stack = SimStack::channels();
+  stack.map_channel = 1;
+  return SimCluster(std::move(ids), {}, {}, stack);
+}
+
+/// A snapshot blob in the map's state format: live entries and tombstones
+/// in the given order, then the clock.
+Bytes map_state_blob(
+    const std::vector<std::pair<std::string, std::string>>& live,
+    const std::vector<std::string>& tombs, std::uint64_t clock) {
+  ByteWriter w(64);
+  w.u32(static_cast<std::uint32_t>(live.size()));
+  std::uint64_t lamport = 0;
+  for (const auto& [k, v] : live) {
+    w.str(k);
+    w.str(v);
+    w.u64(++lamport);
+    w.u32(1);
+  }
+  w.u32(static_cast<std::uint32_t>(tombs.size()));
+  for (const std::string& k : tombs) {
+    w.str(k);
+    w.u64(++lamport);
+    w.u32(2);
+  }
+  w.u64(clock);
+  return w.take();
+}
+
+TEST(ReplicatedMapTablesTest, TombstoneBoundEvictsTheOldest) {
+  // 8192 tombstones are kept; the 8193rd erase evicts the first one.
+  SimCluster c = map_cluster({1});
+  ASSERT_TRUE(c.bootstrap());
+  data::ReplicatedMap& m = *c.node(1).map;
+  for (int i = 0; i < 8193; ++i) m.erase("t" + std::to_string(i));
+  ASSERT_TRUE(c.run_until([&] { return m.tombstoned("t8192"); }, seconds(10)));
+  EXPECT_FALSE(m.tombstoned("t0"));
+  EXPECT_TRUE(m.tombstoned("t1"));
+  EXPECT_TRUE(m.tombstoned("t4096"));
+  // A re-put clears the oldest tombstone; erasing the key again queues it
+  // as the newest, so the next eviction takes t2, not t1's fresh one.
+  m.put("t1", "back");
+  m.erase("t1");
+  m.erase("u0");
+  ASSERT_TRUE(c.run_until([&] { return m.tombstoned("u0"); }, seconds(5)));
+  EXPECT_TRUE(m.tombstoned("t1"));
+  EXPECT_FALSE(m.tombstoned("t2"));
+  EXPECT_TRUE(m.tombstoned("t3"));
+  EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(ReplicatedMapTablesTest, OwnWriteLedgerKeepsTheNewest2048) {
+  // Node 1 writes 2049 keys, then an empty RECONCILE wipes the table: the
+  // ledger re-asserts exactly its newest 2048 rows.
+  SimCluster c = map_cluster({1});
+  ASSERT_TRUE(c.bootstrap());
+  data::ReplicatedMap& m = *c.node(1).map;
+  for (int i = 0; i < 2049; ++i) m.put("o" + std::to_string(i), "v");
+  ASSERT_TRUE(c.run_until([&] { return m.size() == 2049; }, seconds(10)));
+  ByteWriter w(32);
+  w.u8(5);  // kReconcile: no entries, no tombstones, clock 0
+  w.u32(0);
+  w.u32(0);
+  w.u64(0);
+  c.node(1).chan->send(1, w.take());
+  ASSERT_TRUE(c.run_until([&] { return m.size() == 2048; }, seconds(10)));
+  c.run(millis(500));
+  EXPECT_EQ(m.size(), 2048u);
+  EXPECT_FALSE(m.contains("o0"));
+  EXPECT_TRUE(m.contains("o1"));
+  EXPECT_TRUE(m.contains("o2048"));
+  EXPECT_EQ(m.metrics().counter("data.map.reasserted").value(), 2048u);
+}
+
+TEST_F(DurabilityTest, SnapshotEntryOrderDoesNotChangeRecovery) {
+  // Stores written before the hashed tables hold their entries sorted by
+  // key; current ones in table order. Both must recover to the same state.
+  std::vector<std::pair<std::string, std::string>> live;
+  std::vector<std::string> tombs;
+  for (int i = 0; i < 300; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "k%03d", i);
+    live.emplace_back(key, "v" + std::to_string(i));
+  }
+  for (int i = 0; i < 40; ++i) tombs.push_back("d" + std::to_string(i));
+  const std::uint64_t kClock = 5000;
+  std::vector<std::map<std::string, std::string>> recovered;
+  for (bool sorted : {true, false}) {
+    auto l = live;
+    auto t = tombs;
+    if (sorted) {
+      std::sort(l.begin(), l.end());
+      std::sort(t.begin(), t.end());
+    } else {
+      std::reverse(l.begin(), l.end());
+      std::reverse(t.begin(), t.end());
+    }
+    const std::string root =
+        (root_ / (sorted ? "sorted" : "reversed")).string();
+    {
+      storage::StorageConfig cfg;
+      cfg.dir = root;
+      storage::ShardStore store(cfg, root + "/node1/shard0");
+      storage::ShardStore::Hooks hooks;
+      const Bytes blob = map_state_blob(l, t, kClock);
+      hooks.snapshot = [blob] { return blob; };
+      store.attach(1, std::move(hooks));
+      ASSERT_TRUE(store.open());
+      store.compact();
+      store.close();
+    }
+    SimCluster c = dur_cluster({1}, root, /*shards=*/1);
+    ASSERT_TRUE(c.restart(1));
+    ASSERT_TRUE(c.run_until_converged({1}, millis(8000)));
+    data::ReplicatedMap& m = c.node(1).smap->shard(0);
+    EXPECT_EQ(m.size(), live.size());
+    for (const std::string& k : tombs) EXPECT_TRUE(m.tombstoned(k)) << k;
+    EXPECT_GE(m.clock_ceiling(), kClock);
+    std::map<std::string, std::string> got;
+    for (const auto& [k, v] : m.contents()) got[k] = v;
+    recovered.push_back(std::move(got));
+  }
+  EXPECT_EQ(recovered[0], recovered[1]);
+  EXPECT_EQ(recovered[0], (std::map<std::string, std::string>(live.begin(),
+                                                               live.end())));
 }
 
 TEST_F(DurabilityTest, SingleNodePersistsAcrossFullTeardown) {

@@ -353,6 +353,45 @@ TEST(ReshardLiveTest, SingletonRingZeroCoordinatorDefersFreezeAndChunks) {
   }
 }
 
+TEST(ReshardLiveTest, ReproposeDropsSameOrOlderStamps) {
+  // Bounced writes and migration chunks apply through the strict-LWW
+  // repropose path: a same-or-older stamp than the live entry or the
+  // tombstone is history and must not apply.
+  SimStack stack = SimStack::channels();
+  stack.map_channel = 1;
+  SimCluster c({1}, {}, {}, stack);
+  ASSERT_TRUE(c.bootstrap());
+  data::ReplicatedMap& m = *c.node(1).map;
+  using Stamp = data::ReplicatedMap::Stamp;
+  m.put("k", "v1");
+  c.run(millis(200));
+  const std::uint64_t l = m.clock_ceiling();  // "k" carries {l, 1}
+  m.migrate_propose(false, "k", "same", Stamp{l, 1});
+  m.migrate_propose(false, "k", "older", Stamp{l - 1, 9});
+  m.migrate_propose(false, "k", "tie-lower-origin", Stamp{l, 0});
+  m.migrate_propose(true, "k", "", Stamp{l, 1});
+  c.run(millis(200));
+  EXPECT_EQ(m.get("k"), std::optional<std::string>("v1"));
+  m.migrate_propose(false, "k", "newer", Stamp{l, 2});
+  c.run(millis(200));
+  EXPECT_EQ(m.get("k"), std::optional<std::string>("newer"));
+
+  m.erase("k");
+  c.run(millis(200));
+  const std::uint64_t t = m.clock_ceiling();  // the tombstone's {t, 1}
+  ASSERT_TRUE(m.tombstoned("k"));
+  m.migrate_propose(false, "k", "stale", Stamp{t, 1});
+  m.migrate_propose(false, "k", "staler", Stamp{t - 1, 9});
+  c.run(millis(200));
+  EXPECT_FALSE(m.contains("k"));
+  EXPECT_TRUE(m.tombstoned("k"));
+  m.migrate_propose(false, "k", "fresh", Stamp{t + 1, 1});
+  c.run(millis(200));
+  EXPECT_EQ(m.get("k"), std::optional<std::string>("fresh"));
+  EXPECT_FALSE(m.tombstoned("k"));
+  EXPECT_EQ(m.size(), 1u);
+}
+
 TEST(ReshardDurabilityTest, FullRestartRecoversIntoTheGrownEpoch) {
   const std::string root = ::testing::TempDir() + "/reshard_recover";
   std::filesystem::remove_all(root);

@@ -148,6 +148,27 @@ TEST(VipManagerTest, JoinerTriggersRebalanceTowardEvenSpread) {
   }
 }
 
+TEST(VipManagerTest, MergeFormedClusterRebalancesToEvenSpread) {
+  // Regression: four nodes that each found alone and then merge by
+  // discovery used to leave one node serving the whole pool — the merge
+  // reconcile wiped the rebalancer's in-flight writes without reporting
+  // them, so it waited forever for writes that would never land.
+  SimCluster c = vip_cluster({1, 2, 3, 4});
+  ASSERT_TRUE(c.bootstrap(seconds(10)));
+  EXPECT_TRUE(c.run_until(
+      [&] {
+        for (NodeId id : c.ids()) {
+          if (c.node(id).vips->my_vips().size() != 1) return false;
+        }
+        return true;
+      },
+      seconds(5)));
+  for (NodeId id : c.ids()) {
+    EXPECT_EQ(c.node(id).vips->my_vips().size(), 1u) << "node " << id;
+  }
+  EXPECT_TRUE(assignment_consistent(c, c.ids()));
+}
+
 TEST(VipManagerTest, RestartedNodeRebalancesCleanly) {
   // Regression: a crash-restarted node used to keep its pre-crash `mine_`
   // set and replica, so re-granted VIPs fired no gratuitous ARP and the
